@@ -22,11 +22,14 @@ class Gate:
 
     def __post_init__(self):
         # Allow construction from any iterable.
-        object.__setattr__(self, "positive_controls", frozenset(self.positive_controls))
-        object.__setattr__(self, "negative_controls", frozenset(self.negative_controls))
-        if self.target in self.positive_controls or self.target in self.negative_controls:
+        pos, neg = frozenset(self.positive_controls), frozenset(self.negative_controls)
+        object.__setattr__(self, "positive_controls", pos)
+        object.__setattr__(self, "negative_controls", neg)
+        if self.target < 0 or (pos and min(pos) < 0) or (neg and min(neg) < 0):
+            raise ValueError(f"gate on negative line {min(self.lines)}")
+        if self.target in pos or self.target in neg:
             raise ValueError(f"target line {self.target} is also a control")
-        if self.positive_controls & self.negative_controls:
+        if pos & neg:
             raise ValueError("a line cannot be both a positive and a negative control")
 
     @cached_property

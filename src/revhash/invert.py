@@ -7,18 +7,25 @@ The deduction solver works on the synthesized circuit instead. Because
 inputs are never targets, every gate on output line j contributes the
 conjunction of its input-line controls XOR-wise to that line, so "output
 lines end at y, having started at a known initialization" is a system of
-per-line XOR constraints over cube predicates. The solver keeps a
-tri-state partial assignment over the input variables, runs unit
+per-line XOR constraints over cube predicates.
+
+Every set of predicates is one int with bit p for predicate p: those on
+each output line, those with a literal on each input variable, and those
+that each value of each input variable does not falsify. A search state
+is three ints: the predicates not yet falsified, the variables assigned,
+and their values, so a branch copies no arrays. Assigning a variable is
+one AND; a line's undecided predicates, and the parity of
+those already fired, are a masked int and its `bit_count()`. Unit
 propagation (a line whose last undecided predicate is forced pins that
-predicate; a pinned predicate with one explanation pins variables), and
-when stuck branches on the lowest-index unknown variable, value 0 first,
-backtracking on contradiction. Solutions come out in lexicographic order.
+predicate's literals) runs to a fixpoint; when stuck, the solver branches
+on the lowest-index unknown variable, value 0 first, and drops the state
+on contradiction. Solutions come out in lexicographic order, and each is
+evaluated forward over every predicate before it is accepted.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .circuit import Circuit
@@ -106,8 +113,28 @@ def preimages_bruteforce(fn, y: str, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> P
     )
 
 
-class _Deducer:
-    """Backtracking unit-propagation solver over a circuit's XOR constraints."""
+# _BIT_CHARS[b] maps a byte to b"1" if its bit b is set, else b"0".
+_BIT_CHARS = [bytes(0x31 if (x >> b) & 1 else 0x30 for x in range(256)) for b in range(8)]
+
+
+def _columns(rows: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix: column v has bit p set iff rows[p] has bit v.
+
+    The rows are packed into bytes once and each column is read out with
+    C-level slicing, `bytes.translate` and a base-2 `int` parse, so the cost
+    is one Python step per row plus linear byte work per column, where
+    OR-ing bits one at a time into a growing int is quadratic.
+    """
+    if not rows:
+        return [0] * width
+    stride = (width + 7) >> 3
+    packed = b"".join(row.to_bytes(stride, "little") for row in rows)
+    return [int(packed[v >> 3::stride].translate(_BIT_CHARS[v & 7])[::-1], 2) for v in range(width)]
+
+
+class _XorSystem:
+    """A circuit's output lines as XOR constraints over cube predicates,
+    with the search over them (see the module docstring)."""
 
     def __init__(self, c: Circuit, y: str, output_init: str | None):
         n, m = c.num_inputs, c.num_outputs
@@ -116,16 +143,11 @@ class _Deducer:
         if output_init is not None and len(output_init) != m:
             raise ValueError(f"initialization length {len(output_init)} != m={m}")
         init = bits_to_int(output_init) if output_init else 0
-        ybits = bits_to_int(y)
-
-        self.n = n
-        self.num_preds = 0
+        # want[j]: parity of the predicates on line j that must fire.
+        self.want = [((bits_to_int(y) ^ init) >> j) & 1 for j in range(m)]
         self.pred_pos: list[int] = []   # positive-literal variable masks
         self.pred_neg: list[int] = []
-        self.pred_line: list[int] = []
-        self.line_preds: list[list[int]] = [[] for _ in range(m)]
-        self.target = [((ybits >> j) & 1) ^ ((init >> j) & 1) for j in range(m)]
-        self.base_parity = [0] * m
+        pred_line: list[int] = []       # one-hot output-line masks
         input_mask = (1 << n) - 1
 
         for g in c.gates:
@@ -134,126 +156,118 @@ class _Deducer:
             if (g.positive_mask | g.negative_mask) & ~input_mask:
                 raise ValueError("deduction needs controls on input lines only")
             j = g.target - n
-            support = g.positive_mask | g.negative_mask
-            if not support:
-                self.base_parity[j] ^= 1  # uncontrolled NOT: always fires
+            if not (g.positive_mask | g.negative_mask):
+                self.want[j] ^= 1  # uncontrolled NOT: always fires
                 continue
-            p = self.num_preds
-            self.num_preds += 1
             self.pred_pos.append(g.positive_mask)
             self.pred_neg.append(g.negative_mask)
-            self.pred_line.append(j)
-            self.line_preds[j].append(p)
+            pred_line.append(1 << j)
 
-        self.occ: list[list[int]] = [[] for _ in range(n)]
-        for p in range(self.num_preds):
-            support = self.pred_pos[p] | self.pred_neg[p]
-            for v in range(n):
-                if (support >> v) & 1:
-                    self.occ[v].append(p)
-
+        self.n = n
+        self.all_vars = input_mask
+        self.all_preds = (1 << len(pred_line)) - 1
+        self.lines = _columns(pred_line, m)
+        pos_occ = _columns(self.pred_pos, n)
+        neg_occ = _columns(self.pred_neg, n)
+        # occ[v]: predicates with a literal on v; survive[v][b]: those that
+        # v = b does not falsify.
+        self.occ = [a | b for a, b in zip(pos_occ, neg_occ)]
+        self.survive = [(self.all_preds ^ a, self.all_preds ^ b) for a, b in zip(pos_occ, neg_occ)]
         self.branches = 0
         self.propagations = 0
         self.solutions: list[str] = []
 
     def solve(self, first_only: bool = False) -> None:
-        unknown = [(self.pred_pos[p] | self.pred_neg[p]).bit_count() for p in range(self.num_preds)]
-        dead = bytearray(self.num_preds)
-        line_undec = [len(preds) for preds in self.line_preds]
-        line_par = list(self.base_parity)
-        assigned = [-1] * self.n
-        state = (unknown, dead, line_undec, line_par, assigned)
-        pending = deque(range(len(self.line_preds)))
         self.first_only = first_only
-        if self._propagate(state, pending):
-            self._search(state)
+        state = self._propagate(self.all_preds, 0, 0)
+        if state is not None:
+            self._search(*state)
 
-    # -- search ----------------------------------------------------------
-
-    def _search(self, state) -> None:
-        unknown, dead, line_undec, line_par, assigned = state
-        try:
-            v = assigned.index(-1)
-        except ValueError:
-            self._record(assigned)
+    def _search(self, alive: int, assigned: int, value: int) -> None:
+        free = self.all_vars & ~assigned
+        if not free:
+            self._record(value)
             return
+        bit = free & -free
+        v = bit.bit_length() - 1
         for b in (0, 1):
-            snap = (list(unknown), bytearray(dead), list(line_undec), list(line_par), list(assigned))
             self.branches += 1
-            pending: deque[int] = deque()
-            if self._assign(snap, v, b, pending) and self._propagate(snap, pending):
-                self._search(snap)
+            state = self._propagate(alive & self.survive[v][b], assigned | bit, value | (bit if b else 0))
+            if state is not None:
+                self._search(*state)
             if self.first_only and self.solutions:
                 return
 
-    def _record(self, assigned) -> None:
-        x = "".join("1" if b else "0" for b in assigned)
-        xi = bits_to_int(x)
+    def _record(self, value: int) -> None:
         # Soundness: re-evaluate every predicate forward before accepting.
-        parity = list(self.base_parity)
-        for p in range(self.num_preds):
-            if (xi & self.pred_pos[p]) == self.pred_pos[p] and (xi & self.pred_neg[p]) == 0:
-                parity[self.pred_line[p]] ^= 1
-        if parity != self.target:
-            raise RuntimeError(f"deduced preimage {x} fails forward evaluation")
+        fired = self.all_preds
+        for v in range(self.n):
+            fired &= self.survive[v][(value >> v) & 1]
+        x = int_to_bits(value, self.n)
+        for line, want in zip(self.lines, self.want):
+            if (fired & line).bit_count() & 1 != want:
+                raise RuntimeError(f"deduced preimage {x} fails forward evaluation")
         self.solutions.append(x)
 
-    def _assign(self, state, v: int, b: int, pending: deque) -> bool:
-        unknown, dead, line_undec, line_par, assigned = state
-        if assigned[v] >= 0:
-            return assigned[v] == b
-        assigned[v] = b
-        bit = 1 << v
-        for p in self.occ[v]:
-            if dead[p]:
-                continue
-            falsified = (self.pred_pos[p] & bit) if b == 0 else (self.pred_neg[p] & bit)
-            if falsified:
-                dead[p] = 1
-                j = self.pred_line[p]
-                line_undec[j] -= 1
-                pending.append(j)
-            else:
-                unknown[p] -= 1
-                if unknown[p] == 0:
-                    dead[p] = 1  # all literals satisfied: predicate is true
-                    j = self.pred_line[p]
-                    line_par[j] ^= 1
-                    line_undec[j] -= 1
-                    pending.append(j)
-        return True
+    def _propagate(self, alive: int, assigned: int, value: int):
+        """Unit propagation to a fixpoint; None on contradiction.
 
-    def _propagate(self, state, pending: deque) -> bool:
-        unknown, dead, line_undec, line_par, assigned = state
-        while pending:
-            j = pending.popleft()
-            u = line_undec[j]
-            if u == 0:
-                if line_par[j] != self.target[j]:
-                    return False
-                continue
-            if u != 1:
-                continue
-            p = next(q for q in self.line_preds[j] if not dead[q])
-            needed = self.target[j] ^ line_par[j]
-            if needed == 1:
-                # The remaining predicate must fire: pin all its free literals.
-                support = self.pred_pos[p] | self.pred_neg[p]
-                for v in range(self.n):
-                    if (support >> v) & 1 and assigned[v] < 0:
-                        self.propagations += 1
-                        if not self._assign(state, v, 1 if (self.pred_pos[p] >> v) & 1 else 0, pending):
-                            return False
-            elif unknown[p] == 1:
-                # Must not fire and one literal is left: force its negation.
-                support = self.pred_pos[p] | self.pred_neg[p]
-                for v in range(self.n):
-                    if (support >> v) & 1 and assigned[v] < 0:
-                        self.propagations += 1
-                        if not self._assign(state, v, 0 if (self.pred_pos[p] >> v) & 1 else 1, pending):
-                            return False
-                        break
-        return True
+        A line whose predicates are all decided must have the wanted parity.
+        A line with one undecided predicate fixes whether it fires: if it
+        must, all its free literals are pinned; if it must not and one
+        literal is free, that literal is pinned false. Each pass reads the
+        lines from the state at its start; a fact derived from a smaller
+        assignment holds in every extension, so applying several in turn is
+        sound, as long as each is checked against the current state.
+        """
+        occ, survive = self.occ, self.survive
+        while True:
+            free_occ = 0
+            rest = self.all_vars & ~assigned
+            while rest:
+                low = rest & -rest
+                free_occ |= occ[low.bit_length() - 1]
+                rest ^= low
+            undecided = alive & free_occ
+            forced = []
+            for line, want in zip(self.lines, self.want):
+                open_preds = undecided & line
+                if open_preds & (open_preds - 1):
+                    continue  # two or more undecided predicates
+                # The alive predicates with every literal assigned fire.
+                need = want ^ (((alive & line) ^ open_preds).bit_count() & 1)
+                if open_preds:
+                    forced.append((open_preds.bit_length() - 1, need))
+                elif need:
+                    return None
+            changed = False
+            for p, need in forced:
+                if not (alive >> p) & 1:
+                    if need:
+                        return None  # must fire but is already falsified
+                    continue
+                pos, neg = self.pred_pos[p], self.pred_neg[p]
+                free = (pos | neg) & ~assigned
+                if need:
+                    if not free:
+                        continue  # already fires
+                    value |= pos & free
+                elif not free:
+                    return None  # fires but must not
+                elif free & (free - 1):
+                    continue  # two or more literals free: nothing forced
+                else:
+                    value |= neg & free
+                self.propagations += free.bit_count()
+                assigned |= free
+                changed = True
+                while free:
+                    low = free & -free
+                    v = low.bit_length() - 1
+                    alive &= survive[v][(value >> v) & 1]
+                    free ^= low
+            if not changed:
+                return alive, assigned, value
 
 
 def preimages_deduce(
@@ -268,7 +282,7 @@ def preimages_deduce(
     initialization when the circuit was run from a different known state.
     """
     t0 = time.perf_counter()
-    solver = _Deducer(c, y, output_init)
+    solver = _XorSystem(c, y, output_init)
     solver.solve()
     return PreimageResult(
         target=y,
@@ -286,6 +300,6 @@ def preimage_one(c: Circuit, y: str, output_init: str | None = None) -> str | No
     Branching tries the lowest-index unknown variable with 0 first, so the
     returned preimage is the lexicographically smallest one.
     """
-    solver = _Deducer(c, y, output_init)
+    solver = _XorSystem(c, y, output_init)
     solver.solve(first_only=True)
     return solver.solutions[0] if solver.solutions else None

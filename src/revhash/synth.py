@@ -38,11 +38,13 @@ def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
 def expand_negative_controls(c: Circuit) -> Circuit:
     """Replace negative controls by NOT / positive-gate / NOT sandwiches."""
     gates = []
+    # Gates are immutable, so one NOT per line serves every sandwich.
+    nots = [Gate(target=line) for line in range(c.width)]
     for g in c.gates:
         if not g.negative_controls:
             gates.append(g)
             continue
-        flips = [Gate(target=line) for line in sorted(g.negative_controls)]
+        flips = [nots[line] for line in sorted(g.negative_controls)]
         gates.extend(flips)
         gates.append(Gate(target=g.target,
                           positive_controls=g.positive_controls | g.negative_controls))

@@ -57,6 +57,13 @@ def test_simulate_demo(corpus_dir, capsys):
     assert payload["output"] == "1001"
 
 
+def test_simulate_negative_line_is_input_error(tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({"inputs": 2, "outputs": 1, "gates": [{"target": -1}]}))
+    assert main(["simulate", str(doc), "--input", "01"]) == 1
+    assert "negative line" in capsys.readouterr().err
+
+
 def test_invert_demo(corpus_dir, capsys):
     code = main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "1001",
                  "--format", "json"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revhash.circuit import CNOT, NOT, Circuit, Gate
 from revhash.esop import from_pla, minimize
@@ -9,7 +11,7 @@ from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
 from revhash.sim import run
 from revhash.synth import expand_negative_controls, synthesize
 
-from revhash import corpus
+from revhash import corpus, invert
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -121,39 +123,94 @@ def test_deduce_deterministic_stats():
     assert (a.branches, a.propagations) == (b.branches, b.propagations)
 
 
+def forward_preimages(c, y, init):
+    """Every input whose forward run from output state `init` ends at y."""
+    n = c.num_inputs
+    inputs = (int_to_bits(i, n) for i in range(1 << n))
+    return tuple(sorted(x for x in inputs if run(c, x + init)[n:] == y))
+
+
 def test_deduce_nonzero_initialization():
     circ = demo_circuit()
-    x = "0110"
     init = "1010"
-    y = run(circ, x + init)[4:]
+    y = run(circ, "0110" + init)[4:]
     result = preimages_deduce(circ, y, output_init=init)
-    assert x in result.preimages
-    for p in result.preimages:
-        assert run(circ, p + init)[4:] == y
+    assert "0110" in result.preimages
+    assert result.preimages == forward_preimages(circ, y, init)
+
+
+@st.composite
+def synthesized_shape(draw):
+    """A circuit laid out as synthesis lays it out, a target and an init.
+
+    Every gate targets an output line; its controls, positive and negative
+    mixed, sit on input lines, and a gate with none is a plain NOT.
+    """
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        controls = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        split = draw(st.integers(0, len(controls)))
+        gates.append(Gate(target=n + draw(st.integers(0, m - 1)),
+                          positive_controls=controls[:split],
+                          negative_controls=controls[split:]))
+    bits = st.text("01", min_size=m, max_size=m)
+    return Circuit(num_inputs=n, num_outputs=m, gates=gates), draw(bits), draw(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthesized_shape())
+def test_deduce_matches_forward_runs(case):
+    c, y, init = case
+    expected = forward_preimages(c, y, init)
+    assert preimages_deduce(c, y, output_init=init).preimages == expected
+    assert preimage_one(c, y, output_init=init) == (expected[0] if expected else None)
+
+
+# Both entry points share the input checks.
+DEDUCERS = (preimages_deduce, preimage_one)
 
 
 def test_deduce_rejects_bad_arity():
-    with pytest.raises(ValueError):
-        preimages_deduce(demo_circuit(), "10101")
-    with pytest.raises(ValueError):
-        preimages_deduce(demo_circuit(), "1001", output_init="10")
+    for deduce in DEDUCERS:
+        with pytest.raises(ValueError, match="target length"):
+            deduce(demo_circuit(), "10101")
+        with pytest.raises(ValueError, match="initialization length"):
+            deduce(demo_circuit(), "1001", output_init="10")
 
 
 def test_deduce_rejects_input_line_targets():
-    c = Circuit(num_inputs=2, num_outputs=1, gates=(NOT(0),))
-    with pytest.raises(ValueError):
-        preimages_deduce(c, "1")
     expanded = expand_negative_controls(
         Circuit(num_inputs=1, num_outputs=1, gates=(Gate(target=1, negative_controls={0}),))
     )
-    with pytest.raises(ValueError):
-        preimages_deduce(expanded, "1")
+    circuits = (
+        Circuit(num_inputs=2, num_outputs=1, gates=(NOT(0),)),
+        Circuit(num_inputs=2, num_outputs=1, gates=(CNOT(1, 0),)),
+        expanded,
+    )
+    for deduce in DEDUCERS:
+        for c in circuits:
+            with pytest.raises(ValueError, match="targets on output lines"):
+                deduce(c, "1")
 
 
 def test_deduce_rejects_output_line_controls():
-    c = Circuit(num_inputs=1, num_outputs=2, gates=(CNOT(1, 2),))
-    with pytest.raises(ValueError):
-        preimages_deduce(c, "11")
+    circuits = (
+        Circuit(num_inputs=1, num_outputs=2, gates=(CNOT(1, 2),)),
+        Circuit(num_inputs=1, num_outputs=2, gates=(Gate(target=1, negative_controls={0, 2}),)),
+    )
+    for deduce in DEDUCERS:
+        for c in circuits:
+            with pytest.raises(ValueError, match="controls on input lines"):
+                deduce(c, "11")
+
+
+def test_deduce_forward_check_rejects_unsound_search(monkeypatch):
+    # With propagation that never prunes, the search reaches inputs that are
+    # not preimages; the forward check must refuse the first one.
+    monkeypatch.setattr(invert._XorSystem, "_propagate", lambda self, *state: state)
+    with pytest.raises(RuntimeError, match="fails forward evaluation"):
+        preimages_deduce(and_circuit(), "1")
 
 
 def test_deduce_json_shape():

@@ -35,6 +35,10 @@ def test_gate_validation():
         Gate(target=0, positive_controls={0})
     with pytest.raises(ValueError):
         Gate(target=2, positive_controls={0}, negative_controls={0})
+    for bad in (dict(target=-1), dict(target=1, positive_controls={-1}),
+                dict(target=1, negative_controls={0, -2})):
+        with pytest.raises(ValueError, match="negative line"):
+            Gate(**bad)
 
 
 def test_gate_control_count():
