@@ -8,15 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import esop, synth
-from .errors import ResourceLimitError
-from .pla import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    CoverSemantics,
-    PlaFunction,
-    int_to_bits,
-    parse_pla,
-)
-from .sim import cover_truth_words
+from .pla import PlaFunction, int_to_bits, parse_pla
+from .sim import EXHAUSTIVE_LIMIT, _columns, forward_words
 
 
 @dataclass(frozen=True)
@@ -39,29 +32,15 @@ class AvalancheReport:
         return (self.part1_pass or not self.applicable) and self.part2_pass
 
 
-def _forward_table(f: PlaFunction) -> list[int]:
-    """Packed output value for every packed input, by OR evaluation."""
-    words = cover_truth_words(f.n, f.m, f.cubes, CoverSemantics.INCLUSIVE_OR)
-    table = [0] * (1 << f.n)
-    for j, w in enumerate(words):
-        while w:
-            s = (w & -w).bit_length() - 1
-            w &= w - 1
-            table[s] |= 1 << j
-    return table
-
-
-def avalanche_check(f: PlaFunction, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> AvalancheReport:
+def avalanche_check(f: PlaFunction, limit: int = EXHAUSTIVE_LIMIT) -> AvalancheReport:
     """Exhaustive two-part avalanche evaluation.
 
     Part 1: every input differs from its output by at least ceil(m/2) bit
     positions (requires n == m). Part 2: inputs at Hamming distance 1 map
     to outputs at distance at least ceil(m/2).
     """
-    if f.n > limit:
-        raise ResourceLimitError(f"avalanche check over {f.n} inputs exceeds limit {limit}")
+    table = _columns(forward_words(f, limit), 1 << f.n)
     threshold = (f.m + 1) // 2
-    table = _forward_table(f)
     applicable = f.n == f.m
 
     part1: list[str] = []
@@ -99,11 +78,9 @@ class CollisionReport:
         return [(out, xs) for out, xs in self.buckets.items() if len(xs) > 1]
 
 
-def collision_scan(f: PlaFunction, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> CollisionReport:
+def collision_scan(f: PlaFunction, limit: int = EXHAUSTIVE_LIMIT) -> CollisionReport:
     """Bucket every input by output value; group sizes always sum to 2^n."""
-    if f.n > limit:
-        raise ResourceLimitError(f"collision scan over {f.n} inputs exceeds limit {limit}")
-    table = _forward_table(f)
+    table = _columns(forward_words(f, limit), 1 << f.n)
     buckets: dict[str, list[str]] = {}
     for x, out in enumerate(table):
         buckets.setdefault(int_to_bits(out, f.m), []).append(int_to_bits(x, f.n))

@@ -127,18 +127,30 @@ def write_circuit_json(c: Circuit) -> str:
 
 
 def read_circuit_json(text: str) -> Circuit:
+    """Parse a circuit document; a malformed one raises ValueError."""
     doc = json.loads(text)
-    gates = tuple(
-        Gate(
-            target=g["target"],
-            positive_controls=frozenset(g.get("positive", ())),
-            negative_controls=frozenset(g.get("negative", ())),
-        )
-        for g in doc["gates"]
-    )
+    if not isinstance(doc, dict) or not isinstance(doc.get("gates"), list):
+        raise ValueError('circuit JSON must be an object with a "gates" list')
+    gates = []
+    for g in doc["gates"]:
+        if not isinstance(g, dict):
+            raise ValueError(f"circuit JSON gate {g!r} is not an object")
+        pos, neg = g.get("positive", []), g.get("negative", [])
+        if not isinstance(pos, list) or not isinstance(neg, list):
+            raise ValueError(f"circuit JSON gate {g!r}: controls must be lists")
+        _check_ints([g.get("target"), *pos, *neg], f"gate {g!r}")
+        gates.append(Gate(target=g["target"], positive_controls=frozenset(pos),
+                          negative_controls=frozenset(neg)))
+    _check_ints([doc.get("inputs"), doc.get("outputs")], "inputs/outputs")
     return Circuit(
         num_inputs=doc["inputs"],
         num_outputs=doc["outputs"],
-        gates=gates,
+        gates=tuple(gates),
         name=doc.get("name"),
     )
+
+
+def _check_ints(values: list, where: str) -> None:
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"circuit JSON {where}: {v!r} is not a line number or count")

@@ -111,8 +111,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--effort", type=int, default=esop.DEFAULT_EFFORT,
                    help="minimization pass budget")
     p.add_argument("--exhaustive-limit", type=int,
-                   default=int(os.environ.get(ENV_LIMIT, sim.DEFAULT_WIDTH_LIMIT)),
-                   help=f"exhaustive state-sweep width limit (env {ENV_LIMIT})")
+                   default=int(os.environ.get(ENV_LIMIT, sim.EXHAUSTIVE_LIMIT)),
+                   help=f"log2 of the most states an exhaustive sweep may cover (env {ENV_LIMIT})")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -213,7 +213,7 @@ def cmd_invert(args) -> int:
         return EXIT_OK
     else:
         result = invert.preimages_deduce(circuit, y)
-        if not args.no_crosscheck and circuit.num_inputs <= 16:
+        if not args.no_crosscheck and circuit.num_inputs <= args.exhaustive_limit:
             oracle = invert.preimages_bruteforce(
                 f if f is not None else circuit, y, limit=args.exhaustive_limit)
             if oracle.preimages != result.preimages:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .pla import (
-    DEFAULT_EXPANSION_BUDGET,
     Cube,
     PlaFunction,
     bits_to_int,
@@ -40,6 +39,8 @@ from .pla import (
 )
 
 DEFAULT_EFFORT = 64
+# from_pla gives up past this many generated minterm cubes.
+DEFAULT_EXPANSION_BUDGET = 1 << 24
 
 # Internal cube form: (care_mask, value_mask, output_mask) ints.
 _MaskCube = tuple[int, int, int]

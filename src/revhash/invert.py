@@ -29,16 +29,8 @@ import time
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .errors import ResourceLimitError
-from .esop import EsopCover
-from .pla import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    CoverSemantics,
-    PlaFunction,
-    bits_to_int,
-    int_to_bits,
-)
-from .sim import _line_pattern, _run_words, cover_truth_words
+from .pla import bits_to_int, int_to_bits
+from .sim import EXHAUSTIVE_LIMIT, _columns, _mismatch, forward_words
 
 
 @dataclass(frozen=True)
@@ -61,43 +53,20 @@ class PreimageResult:
         }
 
 
-def preimages_bruteforce(fn, y: str, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> PreimageResult:
+def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageResult:
     """Enumerate all x with f(x) = y by forward evaluation.
 
     Accepts a PlaFunction (OR semantics), EsopCover (XOR semantics), or
     Circuit. Evaluation is batched wordwise but is exactly the forward map.
     """
     t0 = time.perf_counter()
-    if isinstance(fn, PlaFunction):
-        n, m = fn.n, fn.m
-        if n > limit:
-            raise ResourceLimitError(f"brute force over {n} inputs exceeds limit {limit}")
-        words = cover_truth_words(n, m, fn.cubes, CoverSemantics.INCLUSIVE_OR)
-    elif isinstance(fn, EsopCover):
-        n, m = fn.n, fn.m
-        if n > limit:
-            raise ResourceLimitError(f"brute force over {n} inputs exceeds limit {limit}")
-        words = cover_truth_words(n, m, fn.cubes, CoverSemantics.EXCLUSIVE_OR)
-    elif isinstance(fn, Circuit):
-        n, m = fn.num_inputs, fn.num_outputs
-        if n > limit:
-            raise ResourceLimitError(f"brute force over {n} inputs exceeds limit {limit}")
-        size = 1 << n
-        mask = (1 << size) - 1
-        state = [_line_pattern(line, size) for line in range(n)] + [0] * m
-        state = _run_words(fn, state, mask)
-        words = state[n:]
-    else:
-        raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
-
-    if len(y) != m:
-        raise ValueError(f"target length {len(y)} != m={m}")
-    size = 1 << n
-    mask = (1 << size) - 1
-    hits = mask
-    for j, ch in enumerate(y):
-        hits &= words[j] if ch == "1" else ~words[j]
-    hits &= mask
+    words = forward_words(fn, limit)
+    n = fn.num_inputs if isinstance(fn, Circuit) else fn.n
+    if len(y) != len(words):
+        raise ValueError(f"target length {len(y)} != m={len(words)}")
+    mask = (1 << (1 << n)) - 1
+    bad, _ = _mismatch(words, [mask if ch == "1" else 0 for ch in y])
+    hits = mask ^ bad
     found = []
     while hits:
         s = (hits & -hits).bit_length() - 1
@@ -111,25 +80,6 @@ def preimages_bruteforce(fn, y: str, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> P
         propagations=0,
         elapsed=time.perf_counter() - t0,
     )
-
-
-# _BIT_CHARS[b] maps a byte to b"1" if its bit b is set, else b"0".
-_BIT_CHARS = [bytes(0x31 if (x >> b) & 1 else 0x30 for x in range(256)) for b in range(8)]
-
-
-def _columns(rows: list[int], width: int) -> list[int]:
-    """Transpose a bit matrix: column v has bit p set iff rows[p] has bit v.
-
-    The rows are packed into bytes once and each column is read out with
-    C-level slicing, `bytes.translate` and a base-2 `int` parse, so the cost
-    is one Python step per row plus linear byte work per column, where
-    OR-ing bits one at a time into a growing int is quadratic.
-    """
-    if not rows:
-        return [0] * width
-    stride = (width + 7) >> 3
-    packed = b"".join(row.to_bytes(stride, "little") for row in rows)
-    return [int(packed[v >> 3::stride].translate(_BIT_CHARS[v & 7])[::-1], 2) for v in range(width)]
 
 
 class _XorSystem:

@@ -17,35 +17,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
-from .errors import PlaLexicalError, PlaParseError, PlaStructureError, ResourceLimitError
-
-# Exhaustive per-input sweeps refuse to run above this arity by default.
-DEFAULT_EXHAUSTIVE_LIMIT = 24
-# expand_to_minterms gives up past this many generated cubes.
-DEFAULT_EXPANSION_BUDGET = 1 << 24
+from .errors import PlaLexicalError, PlaParseError, PlaStructureError
 
 _INPUT_CHARS = frozenset("01-")
 _OUTPUT_CHARS = frozenset("01-~")
-
-
-class Literal(enum.Enum):
-    """One input position of a cube: fixed 0, fixed 1, or don't-care."""
-
-    ZERO = "0"
-    ONE = "1"
-    DONT_CARE = "-"
-
-    @classmethod
-    def from_char(cls, ch: str) -> "Literal":
-        try:
-            return cls(ch)
-        except ValueError:
-            raise ValueError(f"not a cube input character: {ch!r}") from None
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class CoverSemantics(enum.Enum):
@@ -95,10 +71,6 @@ class Cube:
             if ch == "1":
                 mask |= 1 << j
         return mask
-
-    @property
-    def literals(self) -> tuple[Literal, ...]:
-        return tuple(Literal(ch) for ch in self.inputs)
 
     @property
     def num_literals(self) -> int:
@@ -269,32 +241,6 @@ def write_pla(f: PlaFunction) -> str:
         lines.append(f"{c.inputs} {c.outputs}")
     lines.append(".e")
     return "\n".join(lines) + "\n"
-
-
-def expand_to_minterms(f: PlaFunction, budget: int = DEFAULT_EXPANSION_BUDGET) -> PlaFunction:
-    """Replace every dashed cube by its 2^k constituent minterms.
-
-    Exact duplicates (same minterm, same outputs) collapse to one row; the
-    OR-semantics value of the cover is unchanged. Raises ResourceLimitError
-    when the expansion would produce more than `budget` rows.
-    """
-    total = 0
-    for c in f.cubes:
-        total += 1 << (f.n - c.num_literals)
-        if total > budget:
-            raise ResourceLimitError(f"expansion needs {total}+ cubes, budget is {budget}")
-
-    seen: dict[tuple[str, str], None] = {}
-    for c in f.cubes:
-        dash_positions = [i for i, ch in enumerate(c.inputs) if ch == "-"]
-        base = list(c.inputs)
-        for choice in product("01", repeat=len(dash_positions)):
-            for pos, ch in zip(dash_positions, choice):
-                base[pos] = ch
-            seen.setdefault(("".join(base), c.outputs), None)
-    cubes = tuple(Cube(i, o) for i, o in seen)
-    return PlaFunction(n=f.n, m=f.m, cubes=cubes, name=f.name,
-                       input_labels=f.input_labels, output_labels=f.output_labels)
 
 
 def evaluate_pla(f: PlaFunction, x: str, semantics: CoverSemantics = CoverSemantics.INCLUSIVE_OR) -> str:

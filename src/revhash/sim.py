@@ -6,6 +6,13 @@ is that line's value in state s, so a gate application is a handful of
 bitwise operations regardless of how many states are in flight. Semantics
 are defined by the single-state rule; batching is only an evaluation
 strategy, and the two agree bit for bit.
+
+Every exhaustive check in the package runs on one kernel, `forward_words`:
+it evaluates a `.pla` cover (rows OR-ed), an XOR cover or a circuit over
+all 2^n inputs and returns one such word per output. One limit bounds every
+sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number of states a sweep may
+cover, and only the kernel's pattern builder raises `ResourceLimitError`
+for it.
 """
 
 from __future__ import annotations
@@ -16,16 +23,11 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
 from .errors import ResourceLimitError
-from .pla import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    CoverSemantics,
-    PlaFunction,
-    bits_to_int,
-    int_to_bits,
-)
+from .esop import EsopCover
+from .pla import PlaFunction, bits_to_int, int_to_bits
 
-# Exhaustive identity verification sweeps all 2^width states; cap the width.
-DEFAULT_WIDTH_LIMIT = 20
+# log2 of the number of states an exhaustive sweep may cover.
+EXHAUSTIVE_LIMIT = 20
 
 
 class VerifyMode(enum.Enum):
@@ -92,6 +94,13 @@ def _line_pattern(line: int, num_states: int) -> int:
     return (repunit * (((1 << block) - 1) << block)) & mask
 
 
+def _line_patterns(n: int, limit: int) -> list[int]:
+    """The start words of a sweep over all 2^n states, one per line."""
+    if n > limit:
+        raise ResourceLimitError(f"exhaustive sweep over 2^{n} states exceeds limit 2^{limit}")
+    return [_line_pattern(line, 1 << n) for line in range(n)]
+
+
 def _run_words(c: Circuit, words: list[int], mask: int) -> list[int]:
     words = list(words)
     for g in c.gates:
@@ -100,53 +109,76 @@ def _run_words(c: Circuit, words: list[int], mask: int) -> list[int]:
             fire &= words[line]
         for line in g.negative_controls:
             fire &= ~words[line]
-        words[g.target] ^= fire & mask
+        words[g.target] ^= fire
     return words
 
 
-def cover_truth_words(n: int, m: int, cubes, semantics: CoverSemantics) -> list[int]:
-    """Batched forward evaluation of a cube cover over all 2^n inputs.
+def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
+    """Evaluate fn over all 2^n inputs; bit s of word j is output j at input s.
 
-    Returns one word per output; bit s of word j is output bit j at the
-    packed input s. Each cube contributes its match pattern OR- or XOR-wise.
+    fn is a PlaFunction (matching rows OR-ed), an EsopCover (XOR-ed) or a
+    Circuit (input lines driven, output lines starting at 0).
     """
-    size = 1 << n
-    mask = (1 << size) - 1
-    words = [0] * m
-    for cu in cubes:
+    if isinstance(fn, Circuit):
+        n = fn.num_inputs
+        start = _line_patterns(n, limit) + [0] * fn.num_outputs
+        return _run_words(fn, start, (1 << (1 << n)) - 1)[n:]
+    if not isinstance(fn, (PlaFunction, EsopCover)):
+        raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
+    xor = isinstance(fn, EsopCover)
+    ones = _line_patterns(fn.n, limit)
+    mask = (1 << (1 << fn.n)) - 1
+    literal = {"0": [mask ^ p for p in ones], "1": ones}
+    words = [0] * fn.m
+    for cu in fn.cubes:
         match = mask
-        for i in range(n):
-            bit = 1 << i
-            if cu.care_mask & bit:
-                p = _line_pattern(i, size)
-                match &= p if cu.value_mask & bit else ~p
-        match &= mask
-        for j in range(m):
-            if (cu.output_mask >> j) & 1:
-                if semantics is CoverSemantics.INCLUSIVE_OR:
-                    words[j] |= match
-                else:
-                    words[j] ^= match
+        for i, ch in enumerate(cu.inputs):
+            if ch != "-":
+                match &= literal[ch][i]
+        for j, ch in enumerate(cu.outputs):
+            if ch == "1":
+                words[j] = words[j] ^ match if xor else words[j] | match
     return words
 
 
-def truth_table(c: Circuit, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> dict[str, str]:
+def _mismatch(got: list[int], want: list[int]) -> tuple[int, int | None]:
+    """The states where any word differs, and the lowest of them (None if none)."""
+    bad = 0
+    for a, b in zip(got, want, strict=True):
+        bad |= a ^ b
+    return bad, ((bad & -bad).bit_length() - 1 if bad else None)
+
+
+# _BIT_CHARS[b] maps a byte to b"1" if its bit b is set, else b"0".
+_BIT_CHARS = [bytes(0x31 if (x >> b) & 1 else 0x30 for x in range(256)) for b in range(8)]
+
+
+def _columns(rows: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix: column v has bit p set iff rows[p] has bit v.
+
+    The rows are packed into bytes once and each column is read out with
+    C-level slicing, `bytes.translate` and a base-2 `int` parse, so the cost
+    is one Python step per row plus linear byte work per column, where
+    OR-ing bits one at a time into a growing int is quadratic.
+    """
+    if not rows:
+        return [0] * width
+    stride = (width + 7) >> 3
+    packed = b"".join(row.to_bytes(stride, "little") for row in rows)
+    return [int(packed[v >> 3::stride].translate(_BIT_CHARS[v & 7])[::-1], 2) for v in range(width)]
+
+
+def truth_table(c: Circuit, limit: int = EXHAUSTIVE_LIMIT) -> dict[str, str]:
     """Map every input vector to the circuit's output-line values.
 
     Input lines are driven with each x in turn, output lines start at 0.
     """
     n, m = c.num_inputs, c.num_outputs
-    if n > limit:
-        raise ResourceLimitError(f"truth table over {n} inputs exceeds limit {limit}")
-    size = 1 << n
-    mask = (1 << size) - 1
-    words = [_line_pattern(line, size) for line in range(n)] + [0] * m
-    words = _run_words(c, words, mask)
+    outputs = _columns(forward_words(c, limit), 1 << n)
     table = {}
-    for i in range(size):
+    for i in range(1 << n):
         x = format(i, f"0{n}b")
-        s = bits_to_int(x)
-        table[x] = "".join("1" if (words[n + j] >> s) & 1 else "0" for j in range(m))
+        table[x] = int_to_bits(outputs[bits_to_int(x)], m)
     return table
 
 
@@ -156,7 +188,7 @@ def verify_identity(
     mode: VerifyMode = VerifyMode.EXHAUSTIVE,
     samples: int = 10_000,
     seed: int = 0,
-    width_limit: int = DEFAULT_WIDTH_LIMIT,
+    width_limit: int = EXHAUSTIVE_LIMIT,
 ) -> VerificationReport:
     """Check run(reversed, run(forward, s)) == s over states s.
 
@@ -168,62 +200,35 @@ def verify_identity(
     width = forward.width
 
     if mode is VerifyMode.EXHAUSTIVE:
-        if width > width_limit:
-            raise ResourceLimitError(f"exhaustive verification over width {width} exceeds limit {width_limit}")
-        size = 1 << width
-        mask = (1 << size) - 1
-        start = [_line_pattern(line, size) for line in range(width)]
-        words = _run_words(reversed_circuit, _run_words(forward, start, mask), mask)
-        bad = 0
-        for line in range(width):
-            bad |= words[line] ^ start[line]
-        if bad:
-            s = (bad & -bad).bit_length() - 1
-            return VerificationReport(mode, size, False, counterexample=int_to_bits(s, width))
-        return VerificationReport(mode, size, True)
-
-    rng = random.Random(seed)
-    states = [rng.getrandbits(width) for _ in range(samples)]
-    mask = (1 << samples) - 1
-    start = [0] * width
-    for k, s in enumerate(states):
-        for line in range(width):
-            if (s >> line) & 1:
-                start[line] |= 1 << k
+        start = _line_patterns(width, width_limit)
+        count, seed = 1 << width, None
+    else:
+        rng = random.Random(seed)
+        states = [rng.getrandbits(width) for _ in range(samples)]
+        start = _columns(states, width)
+        count = samples
+    mask = (1 << count) - 1
     words = _run_words(reversed_circuit, _run_words(forward, start, mask), mask)
-    bad = 0
-    for line in range(width):
-        bad |= words[line] ^ start[line]
-    if bad:
-        k = (bad & -bad).bit_length() - 1
-        return VerificationReport(mode, samples, False,
-                                  counterexample=int_to_bits(states[k], width), seed=seed)
-    return VerificationReport(mode, samples, True, seed=seed)
+    _, k = _mismatch(words, start)
+    if k is None:
+        return VerificationReport(mode, count, True, seed=seed)
+    s = k if mode is VerifyMode.EXHAUSTIVE else states[k]
+    return VerificationReport(mode, count, False, counterexample=int_to_bits(s, width), seed=seed)
 
 
 def verify_against_spec(
     c: Circuit,
     f: PlaFunction,
-    limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+    limit: int = EXHAUSTIVE_LIMIT,
 ) -> VerificationReport:
     """Compare the circuit's truth table against the cover's OR evaluation."""
     if c.num_inputs != f.n or c.num_outputs != f.m:
         raise ValueError(
             f"arity mismatch: circuit {c.num_inputs}->{c.num_outputs}, function {f.n}->{f.m}"
         )
-    if f.n > limit:
-        raise ResourceLimitError(f"spec comparison over {f.n} inputs exceeds limit {limit}")
+    bad, s = _mismatch(forward_words(c, limit), forward_words(f, limit))
     size = 1 << f.n
-    mask = (1 << size) - 1
-    expected = cover_truth_words(f.n, f.m, f.cubes, CoverSemantics.INCLUSIVE_OR)
-
-    words = [_line_pattern(line, size) for line in range(f.n)] + [0] * f.m
-    words = _run_words(c, words, mask)
-    bad = 0
-    for j in range(f.m):
-        bad |= words[f.n + j] ^ expected[j]
-    if bad:
-        s = (bad & -bad).bit_length() - 1
+    if s is not None:
         return VerificationReport(
             VerifyMode.EXHAUSTIVE, size, False, counterexample=int_to_bits(s, f.n),
             detail=f"{bad.bit_count()} mismatching input(s)",

@@ -140,6 +140,8 @@ def read_real(text: str) -> Circuit:
             comment = line[1:].strip()
             if comment.startswith("revhash inputs="):
                 fields = dict(part.split("=") for part in comment.split()[1:])
+                if "inputs" not in fields or "outputs" not in fields:
+                    raise ValueError(f"role comment needs inputs= and outputs=: {comment!r}")
                 num_inputs = int(fields["inputs"])
                 num_outputs = int(fields["outputs"])
             elif name is None and comment:
@@ -160,7 +162,7 @@ def read_real(text: str) -> Circuit:
             kind, args = tokens[0], tokens[1:]
             if not kind.startswith("t") or not kind[1:].isdigit():
                 raise ValueError(f"unsupported .real gate: {line!r}")
-            if len(args) != int(kind[1:]):
+            if not args or len(args) != int(kind[1:]):
                 raise ValueError(f"gate arity mismatch: {line!r}")
             if names is None:
                 raise ValueError(".variables must precede gate lines")

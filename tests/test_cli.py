@@ -64,6 +64,22 @@ def test_simulate_negative_line_is_input_error(tmp_path, capsys):
     assert "negative line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("no_gates.json", json.dumps({"inputs": 2, "outputs": 1})),
+    ("str_target.json", json.dumps({"inputs": 2, "outputs": 1, "gates": [{"target": "1"}]})),
+    ("list.json", json.dumps([{"target": 2}])),
+    ("no_outputs.real", "# revhash inputs=2\n.version 1.0\n.numvars 3\n.variables x0 x1 y0\n"
+                        ".begin\nt2 x0 y0\n.end\n"),
+    ("empty_gate.real", "# revhash inputs=2 outputs=1\n.version 1.0\n.numvars 3\n"
+                        ".variables x0 x1 y0\n.begin\nt0\n.end\n"),
+], ids=["no-gates", "str-target", "top-level-list", "real-no-outputs", "real-empty-gate"])
+def test_simulate_malformed_circuit_is_input_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["simulate", str(path), "--input", "01"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invert_demo(corpus_dir, capsys):
     code = main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "1001",
                  "--format", "json"])
@@ -180,6 +196,13 @@ def test_corpus_command(tmp_path):
     out = tmp_path / "out"
     assert main(["corpus", "-o", str(out)]) == 0
     assert len(list(out.glob("*.pla"))) == 13
+
+
+def test_invert_below_limit_skips_crosscheck(corpus_dir, capsys):
+    code = main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "1001",
+                 "--exhaustive-limit", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["preimages"] == ["0110"]
 
 
 def test_resource_limit_exit_code(tmp_path):

@@ -71,6 +71,8 @@ def test_bruteforce_accepts_cover_and_circuit():
 def test_bruteforce_rejects_bad_target():
     with pytest.raises(ValueError):
         preimages_bruteforce(parse_pla(AND_PLA), "11")
+    with pytest.raises(TypeError):
+        preimages_bruteforce("0110", "1")
 
 
 def test_bruteforce_sorted_output():

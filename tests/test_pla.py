@@ -2,15 +2,13 @@ import random
 
 import pytest
 
-from revhash.errors import PlaLexicalError, PlaParseError, PlaStructureError, ResourceLimitError
+from revhash.errors import PlaLexicalError, PlaParseError, PlaStructureError
 from revhash.pla import (
     CoverSemantics,
     Cube,
-    Literal,
     PlaFunction,
     bits_to_int,
     evaluate_pla,
-    expand_to_minterms,
     int_to_bits,
     parse_pla,
     write_pla,
@@ -24,16 +22,8 @@ OR = CoverSemantics.INCLUSIVE_OR
 XOR = CoverSemantics.EXCLUSIVE_OR
 
 
-def test_literal_roundtrip():
-    for ch in "01-":
-        assert str(Literal.from_char(ch)) == ch
-    with pytest.raises(ValueError):
-        Literal.from_char("x")
-
-
 def test_cube_literal_view():
     c = Cube("01-", "1")
-    assert c.literals == (Literal.ZERO, Literal.ONE, Literal.DONT_CARE)
     assert c.num_literals == 2
     assert c.matches("010") and c.matches("011") and not c.matches("110")
 
@@ -140,30 +130,6 @@ def test_roundtrip_random_functions():
         assert parse_pla(write_pla(f)).same_cover(f)
 
 
-def test_expand_single_dash():
-    f = PlaFunction(n=2, m=1, cubes=(Cube("0-", "0"),))
-    g = expand_to_minterms(f)
-    assert {(c.inputs, c.outputs) for c in g.cubes} == {("00", "0"), ("01", "0")}
-
-
-def test_expand_fig_cover_is_and_truth_table():
-    g = expand_to_minterms(parse_pla(AND_PLA))
-    assert {(c.inputs, c.outputs) for c in g.cubes} == {
-        ("00", "0"), ("01", "0"), ("10", "0"), ("11", "1"),
-    }
-
-
-def test_expand_full_dash():
-    f = PlaFunction(n=3, m=1, cubes=(Cube("---", "1"),))
-    assert len(expand_to_minterms(f).cubes) == 8
-
-
-def test_expand_budget():
-    f = PlaFunction(n=8, m=1, cubes=(Cube("-" * 8, "1"),))
-    with pytest.raises(ResourceLimitError):
-        expand_to_minterms(f, budget=100)
-
-
 def test_evaluate_or_semantics():
     f = parse_pla(AND_PLA)
     assert evaluate_pla(f, "11", OR) == "1"
@@ -188,39 +154,6 @@ def test_bits_packing_roundtrip():
     assert int_to_bits(6, 4) == "0110"
     for v in range(32):
         assert bits_to_int(int_to_bits(v, 5)) == v
-
-
-def _expansion_multiplicities(f):
-    from itertools import product
-
-    seen = {}
-    for c in f.cubes:
-        dashes = [i for i, ch in enumerate(c.inputs) if ch == "-"]
-        base = list(c.inputs)
-        for choice in product("01", repeat=len(dashes)):
-            for pos, ch in zip(dashes, choice):
-                base[pos] = ch
-            key = ("".join(base), c.outputs)
-            seen[key] = seen.get(key, 0) + 1
-    return seen
-
-
-def test_expansion_soundness():
-    # OR semantics always survives expansion; XOR does too unless the raw
-    # expansion contains duplicate (minterm, output) rows, which collapse.
-    rng = random.Random(202)
-    checked_xor = 0
-    for _ in range(400):
-        f = random_function(rng)
-        g = expand_to_minterms(f)
-        duplicate_free = all(k == 1 for k in _expansion_multiplicities(f).values())
-        for x in range(1 << f.n):
-            xs = int_to_bits(x, f.n)
-            assert evaluate_pla(f, xs, OR) == evaluate_pla(g, xs, OR)
-            if duplicate_free:
-                assert evaluate_pla(f, xs, XOR) == evaluate_pla(g, xs, XOR)
-        checked_xor += duplicate_free
-    assert checked_xor > 100
 
 
 def test_disjoint_cover_semantics_agree():

@@ -1,14 +1,22 @@
+import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revhash.analyze import avalanche_check, collision_scan
 from revhash.circuit import CNOT, NOT, Circuit, Gate
+from revhash.cli import ENV_LIMIT, build_parser
 from revhash.errors import ResourceLimitError
-from revhash.esop import from_pla, minimize
-from revhash.pla import int_to_bits, parse_pla
+from revhash.esop import EsopCover, evaluate_esop, from_pla, minimize
+from revhash.invert import preimages_bruteforce
+from revhash.pla import Cube, PlaFunction, evaluate_pla, int_to_bits, parse_pla
 from revhash.sim import (
+    EXHAUSTIVE_LIMIT,
     VerifyMode,
     apply_gate,
+    forward_words,
     run,
     truth_table,
     verify_against_spec,
@@ -138,8 +146,11 @@ def test_verify_identity_sampled():
 def test_verify_identity_sampled_detects_mutation():
     c = demo_circuit()
     mutated = c.with_gates(c.gates[1:])
-    report = verify_identity(mutated, reverse(c), mode=VerifyMode.SAMPLED, samples=500, seed=1)
+    r = reverse(c)
+    report = verify_identity(mutated, r, mode=VerifyMode.SAMPLED, samples=500, seed=1)
     assert not report.passed
+    s = report.counterexample
+    assert run(r, run(mutated, s)) != s
 
 
 def test_report_json_shape():
@@ -166,6 +177,8 @@ def test_verify_against_spec_detects_dropped_gate():
     mutated = c.with_gates(c.gates[:-1])
     report = verify_against_spec(mutated, f)
     assert not report.passed and report.counterexample is not None
+    x = report.counterexample
+    assert run(mutated, x + "0" * f.m)[f.n:] != evaluate_pla(f, x)
 
 
 def test_verify_against_spec_arity_mismatch():
@@ -219,3 +232,66 @@ def test_batch_matches_single_state():
         table = truth_table(c)
         for x, out in table.items():
             assert run(c, x + "0" * c.num_outputs)[c.num_inputs:] == out
+
+
+@st.composite
+def covers(draw):
+    """A cover with dashes, n <= 6 inputs and m <= 3 outputs."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rows = st.tuples(st.text("01-", min_size=n, max_size=n), st.text("01", min_size=m, max_size=m))
+    return n, m, [Cube(i, o) for i, o in draw(st.lists(rows, max_size=8))]
+
+
+@st.composite
+def circuits(draw):
+    """Any gates over n <= 6 inputs and m <= 3 outputs: targets on every
+    line, negative controls, uncontrolled NOTs on output lines."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    width = n + m
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        target = draw(st.integers(0, width - 1))
+        others = [line for line in range(width) if line != target]
+        controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+        split = draw(st.integers(0, len(controls)))
+        gates.append(Gate(target=target, positive_controls=controls[:split],
+                          negative_controls=controls[split:]))
+    return Circuit(num_inputs=n, num_outputs=m, gates=gates)
+
+
+def _word_bits(words, s):
+    return "".join("1" if (w >> s) & 1 else "0" for w in words)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers())
+def test_forward_words_matches_cover_evaluation(case):
+    n, m, cubes = case
+    f, cover = PlaFunction(n=n, m=m, cubes=cubes), EsopCover(n=n, m=m, cubes=cubes)
+    or_words, xor_words = forward_words(f), forward_words(cover)
+    for s in range(1 << n):
+        x = int_to_bits(s, n)
+        assert _word_bits(or_words, s) == evaluate_pla(f, x)
+        assert _word_bits(xor_words, s) == evaluate_esop(cover, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_forward_words_matches_single_state_run(c):
+    words = forward_words(c)
+    for s in range(1 << c.num_inputs):
+        x = int_to_bits(s, c.num_inputs)
+        assert _word_bits(words, s) == run(c, x + "0" * c.num_outputs)[c.num_inputs:]
+
+
+def test_one_exhaustive_limit(monkeypatch):
+    defaults = {
+        fn.__name__: inspect.signature(fn).parameters[param].default
+        for fn, param in ((forward_words, "limit"), (truth_table, "limit"),
+                          (verify_identity, "width_limit"), (verify_against_spec, "limit"),
+                          (preimages_bruteforce, "limit"), (avalanche_check, "limit"),
+                          (collision_scan, "limit"))
+    }
+    monkeypatch.delenv(ENV_LIMIT, raising=False)
+    defaults["--exhaustive-limit"] = build_parser().parse_args(["analyze", "f.pla"]).exhaustive_limit
+    assert defaults == dict.fromkeys(defaults, EXHAUSTIVE_LIMIT)
