@@ -28,9 +28,8 @@ ENV_LIMIT = "REVHASH_EXHAUSTIVE_LIMIT"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (PlaParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -111,9 +110,22 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--effort", type=int, default=esop.DEFAULT_EFFORT,
                    help="minimization pass budget")
     p.add_argument("--exhaustive-limit", type=int,
-                   default=int(os.environ.get(ENV_LIMIT, sim.EXHAUSTIVE_LIMIT)),
+                   default=_env_limit(),
                    help=f"log2 of the most states an exhaustive sweep may cover (env {ENV_LIMIT})")
     p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _env_limit() -> int:
+    raw = os.environ.get(ENV_LIMIT)
+    if raw is None:
+        return sim.EXHAUSTIVE_LIMIT
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{ENV_LIMIT} must be a non-negative integer, got {raw!r}")
+    return value
 
 
 def _emit(args, doc: dict, text: str) -> None:

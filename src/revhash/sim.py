@@ -11,8 +11,15 @@ Every exhaustive check in the package runs on one kernel, `forward_words`:
 it evaluates a `.pla` cover (rows OR-ed), an XOR cover or a circuit over
 all 2^n inputs and returns one such word per output. One limit bounds every
 sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number of states a sweep may
-cover, and only the kernel's pattern builder raises `ResourceLimitError`
-for it.
+cover, and one check, `_check_limit`, raises `ResourceLimitError` for it:
+in `_line_patterns`, which makes every sweep's start words, and on the
+width of an identity check.
+
+The exhaustive identity check sweeps only the lines R that some gate reads
+as a control, 2^|R| states, with every other line starting at 0. Its
+verdict still covers all 2^width states: R's lines evolve from R's start
+values alone, and every other line ends at its start value XOR fire words
+that depend only on R. `width_limit` still bounds the circuit's width.
 """
 
 from __future__ import annotations
@@ -94,10 +101,14 @@ def _line_pattern(line: int, num_states: int) -> int:
     return (repunit * (((1 << block) - 1) << block)) & mask
 
 
-def _line_patterns(n: int, limit: int) -> list[int]:
-    """The start words of a sweep over all 2^n states, one per line."""
+def _check_limit(n: int, limit: int) -> None:
     if n > limit:
         raise ResourceLimitError(f"exhaustive sweep over 2^{n} states exceeds limit 2^{limit}")
+
+
+def _line_patterns(n: int, limit: int) -> list[int]:
+    """The start words of a sweep over all 2^n states, one per line."""
+    _check_limit(n, limit)
     return [_line_pattern(line, 1 << n) for line in range(n)]
 
 
@@ -192,27 +203,44 @@ def verify_identity(
 ) -> VerificationReport:
     """Check run(reversed, run(forward, s)) == s over states s.
 
-    Exhaustive mode covers all 2^width states (refusing beyond width_limit);
-    sampled mode draws `samples` seeded pseudo-random states.
+    Exhaustive mode covers all 2^width states (refusing a width beyond
+    width_limit) but sweeps only the 2^|R| states over the lines R that
+    either circuit reads as controls, other lines starting at 0. The gates'
+    fire words depend on R alone, so a state fails iff its R part fails
+    with every other line 0: R's lines must return to their start words
+    and every other line must end at 0. The counterexample is the lowest
+    failing state. Sampled mode draws `samples` seeded pseudo-random states.
     """
     if forward.width != reversed_circuit.width:
         raise ValueError("circuit widths differ")
     width = forward.width
 
     if mode is VerifyMode.EXHAUSTIVE:
-        start = _line_patterns(width, width_limit)
-        count, seed = 1 << width, None
+        _check_limit(width, width_limit)
+        controls = 0
+        for g in (*forward.gates, *reversed_circuit.gates):
+            controls |= g.positive_mask | g.negative_mask
+        read = [line for line in range(width) if controls >> line & 1]
+        start = [0] * width
+        for line, pattern in zip(read, _line_patterns(len(read), width_limit)):
+            start[line] = pattern
+        count, seed, swept = 1 << width, None, 1 << len(read)
     else:
         rng = random.Random(seed)
         states = [rng.getrandbits(width) for _ in range(samples)]
         start = _columns(states, width)
-        count = samples
-    mask = (1 << count) - 1
+        count = swept = samples
+    mask = (1 << swept) - 1
     words = _run_words(reversed_circuit, _run_words(forward, start, mask), mask)
     _, k = _mismatch(words, start)
     if k is None:
         return VerificationReport(mode, count, True, seed=seed)
-    s = k if mode is VerifyMode.EXHAUSTIVE else states[k]
+    if mode is VerifyMode.EXHAUSTIVE:
+        # Bit i of the swept index is line read[i]; read is ascending, so
+        # the lowest failing index is the lowest failing full state.
+        s = sum(1 << line for i, line in enumerate(read) if k >> i & 1)
+    else:
+        s = states[k]
     return VerificationReport(mode, count, False, counterexample=int_to_bits(s, width), seed=seed)
 
 

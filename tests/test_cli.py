@@ -217,3 +217,11 @@ def test_exhaustive_limit_env(monkeypatch, corpus_dir):
     # Width 8 demo exceeds the forced limit of 4, so verification samples
     # rather than failing; exit stays 0.
     assert main(["verify", str(corpus_dir / "demo_hash4.pla"), "--samples", "64"]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_exhaustive_limit_env_rejects_bad_value(monkeypatch, corpus_dir, capsys, value):
+    monkeypatch.setenv("REVHASH_EXHAUSTIVE_LIMIT", value)
+    assert main(["analyze", str(corpus_dir / "demo_hash4.pla")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "REVHASH_EXHAUSTIVE_LIMIT" in err

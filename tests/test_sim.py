@@ -243,20 +243,24 @@ def covers(draw):
 
 
 @st.composite
-def circuits(draw):
-    """Any gates over n <= 6 inputs and m <= 3 outputs: targets on every
-    line, negative controls, uncontrolled NOTs on output lines."""
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    width = n + m
-    gates = []
-    for _ in range(draw(st.integers(0, 10))):
-        target = draw(st.integers(0, width - 1))
-        others = [line for line in range(width) if line != target]
-        controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
-        split = draw(st.integers(0, len(controls)))
-        gates.append(Gate(target=target, positive_controls=controls[:split],
-                          negative_controls=controls[split:]))
+def circuits(draw, max_width=9):
+    """Any gates over n <= 6 inputs and m <= 3 outputs, at most max_width
+    lines: targets on every line, negative controls, uncontrolled NOTs."""
+    n = draw(st.integers(1, min(6, max_width - 1)))
+    m = draw(st.integers(1, min(3, max_width - n)))
+    gates = draw(st.lists(gates_on(n + m), max_size=10))
     return Circuit(num_inputs=n, num_outputs=m, gates=gates)
+
+
+@st.composite
+def gates_on(draw, width):
+    """A gate on any line of `width` with up to 3 mixed controls."""
+    target = draw(st.integers(0, width - 1))
+    others = [line for line in range(width) if line != target]
+    controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+    split = draw(st.integers(0, len(controls)))
+    return Gate(target=target, positive_controls=controls[:split],
+                negative_controls=controls[split:])
 
 
 def _word_bits(words, s):
@@ -295,3 +299,50 @@ def test_one_exhaustive_limit(monkeypatch):
     monkeypatch.delenv(ENV_LIMIT, raising=False)
     defaults["--exhaustive-limit"] = build_parser().parse_args(["analyze", "f.pla"]).exhaustive_limit
     assert defaults == dict.fromkeys(defaults, EXHAUSTIVE_LIMIT)
+
+
+def _lowest_failing_state(forward, rev):
+    for s in range(1 << forward.width):
+        state = int_to_bits(s, forward.width)
+        if run(rev, run(forward, state)) != state:
+            return state
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(max_width=7), st.sampled_from(["same", "drop", "add"]), st.data())
+def test_verify_identity_matches_single_state_oracle(c, variant, data):
+    gates = list(reverse(c).gates)
+    if variant == "drop" and gates:
+        del gates[data.draw(st.integers(0, len(gates) - 1))]
+    elif variant == "add":
+        gates.insert(data.draw(st.integers(0, len(gates))), data.draw(gates_on(c.width)))
+    rev = c.with_gates(gates)
+    report = verify_identity(c, rev)
+    failing = _lowest_failing_state(c, rev)
+    assert report.passed == (failing is None)
+    assert report.counterexample == failing
+    assert report.states_checked == 1 << c.width
+
+
+def test_verify_identity_fails_on_unread_line():
+    # No gate reads any line, so only the all-zero state is swept.
+    report = verify_identity(Circuit(num_inputs=2, num_outputs=1, gates=[NOT(2)]),
+                             Circuit(num_inputs=2, num_outputs=1))
+    assert not report.passed and report.counterexample == "000"
+    assert report.states_checked == 8
+
+
+def test_verify_identity_gateless_wide_circuit():
+    c = Circuit(num_inputs=8, num_outputs=8)
+    report = verify_identity(c, c)
+    assert report.passed and report.states_checked == 65536
+
+
+def test_verify_identity_counterexample_on_read_lines():
+    # Lines 1 and 3 are read; the gate fires when line 3 is 1 and line 1 is 0.
+    forward = Circuit(num_inputs=4, num_outputs=2,
+                      gates=[Gate(target=5, positive_controls=[3], negative_controls=[1])])
+    report = verify_identity(forward, forward.with_gates([]))
+    assert not report.passed and report.counterexample == "000100"
+    assert report.states_checked == 64
