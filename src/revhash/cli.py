@@ -109,23 +109,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--effort", type=int, default=esop.DEFAULT_EFFORT,
                    help="minimization pass budget")
-    p.add_argument("--exhaustive-limit", type=int,
-                   default=_env_limit(),
+    p.add_argument("--exhaustive-limit", action=_LimitFlag,
+                   default=_limit(os.environ.get(ENV_LIMIT, sim.EXHAUSTIVE_LIMIT), ENV_LIMIT),
                    help=f"log2 of the most states an exhaustive sweep may cover (env {ENV_LIMIT})")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _env_limit() -> int:
-    raw = os.environ.get(ENV_LIMIT)
-    if raw is None:
-        return sim.EXHAUSTIVE_LIMIT
+def _limit(raw: str | int, source: str) -> int:
     try:
         value = int(raw)
     except ValueError:
         value = -1
     if value < 0:
-        raise ValueError(f"{ENV_LIMIT} must be a non-negative integer, got {raw!r}")
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
     return value
+
+
+class _LimitFlag(argparse.Action):
+    """Checks like _limit: ValueError passes argparse, so main exits 1, not 2."""
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _limit(values, option_string))
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -145,9 +148,15 @@ def _load_circuit(path: Path) -> Circuit:
     raise ValueError(f"cannot read a circuit from {path} (want .real or .json)")
 
 
-def _pipeline(path: Path, minimize: bool, effort: int):
+def _read_function(path: Path):
+    """A .pla file as an XOR cover if marked `# esop`, else as an OR cover."""
     f = parse_pla(path.read_text())
-    cover = esop.from_pla(f)
+    return esop.EsopCover(n=f.n, m=f.m, cubes=f.cubes) if "esop" in f.comments else f
+
+
+def _pipeline(path: Path, minimize: bool, effort: int):
+    f = _read_function(path)
+    cover = f if isinstance(f, esop.EsopCover) else esop.from_pla(f)
     if minimize:
         cover = esop.minimize(cover, effort=effort)
     circuit = synth.synthesize(cover, name=path.stem)
@@ -276,7 +285,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    f = parse_pla(args.pla.read_text())
+    f = _read_function(args.pla)
     av = analyze.avalanche_check(f, limit=args.exhaustive_limit)
     col = analyze.collision_scan(f, limit=args.exhaustive_limit)
     doc = {

@@ -21,6 +21,11 @@ distinct from 0 and 1). The moves:
 Every accepted move keeps the covered function identical and never grows
 the cube count; passes repeat until a sweep yields no accepted move or the
 effort budget runs out.
+
+A sweep finds partners by lookup in an index over its snapshot (the 2n keys
+at distance 1, the cubes with equal outputs for distance 2) instead of
+testing every pair, and visits them in all-pairs order, so it returns the
+cover an all-pairs scan returns.
 """
 
 from __future__ import annotations
@@ -198,7 +203,7 @@ def _insert(live: dict[tuple[int, int], int], n: int, queue: deque) -> None:
         return
     partner = _d1_partner(live, n, care, val, out)
     if partner is not None:
-        pkey, mcare, mval = partner
+        pkey, (mcare, mval) = partner
         live.pop(pkey)
         queue.append((mcare, mval, out))
         return
@@ -206,33 +211,27 @@ def _insert(live: dict[tuple[int, int], int], n: int, queue: deque) -> None:
 
 
 def _d1_partner(live, n, care, val, out):
-    """Find a live cube at input distance 1 with identical outputs.
+    """The first (key, merged_key) of `_d1_neighbours` live with outputs `out`, or None."""
+    for pkey, merged in _d1_neighbours(care, val, n):
+        if live.get(pkey) == out:
+            return pkey, merged
+    return None
 
-    Returns (partner_key, merged_care, merged_value) or None. Positions are
-    tried in ascending order, so ties resolve toward the lowest index.
+
+def _d1_neighbours(care, val, n):
+    """Yield (key, merged_key) for the 2n keys at input distance 1.
+
+    Positions ascend; at each come the other two literals, in the order 0,
+    1, dash, and each merges with the cube into the other one's literal.
     """
     for i in range(n):
         bit = 1 << i
         if care & bit:
-            if val & bit:  # literal '1'
-                cands = (
-                    ((care, val & ~bit), (care & ~bit, val & ~bit)),  # partner '0' -> '-'
-                    ((care & ~bit, val & ~bit), (care, val & ~bit)),  # partner '-' -> '0'
-                )
-            else:  # literal '0'
-                cands = (
-                    ((care, val | bit), (care & ~bit, val)),          # partner '1' -> '-'
-                    ((care & ~bit, val), (care, val | bit)),          # partner '-' -> '1'
-                )
-        else:  # literal '-'
-            cands = (
-                ((care | bit, val), (care | bit, val | bit)),         # partner '0' -> '1'
-                ((care | bit, val | bit), (care | bit, val)),         # partner '1' -> '0'
-            )
-        for pkey, merged in cands:
-            if live.get(pkey) == out:
-                return pkey, merged[0], merged[1]
-    return None
+            x, y = (care, val ^ bit), (care ^ bit, val & ~bit)
+        else:
+            x, y = (care | bit, val), (care | bit, val | bit)
+        yield x, y
+        yield y, x
 
 
 def _diff_mask(care_a: int, val_a: int, care_b: int, val_b: int) -> int:
@@ -264,27 +263,37 @@ def _reshape_sweep(live: dict[tuple[int, int], int], n: int) -> bool:
     the same function. A rewrite is kept when it lowers the literal count
     outright or lets a new cube cancel/merge with the remaining cover.
     Returns True if anything was accepted.
+
+    Partners come from an index over the snapshot: key -> index for the
+    distance-1 neighbours, output -> indices for distance 2. Qualifying
+    depends on snapshot values alone, so visiting each cube's partners in
+    ascending index, with the all-pairs liveness checks, makes the same
+    rewrite attempts in the same order and so yields the same cover.
     """
     snapshot = list(live.items())
+    where = {key: i for i, (key, _) in enumerate(snapshot)}
+    by_out: dict[int, list[int]] = {}
+    for i, (_, out) in enumerate(snapshot):
+        by_out.setdefault(out, []).append(i)
     changed = False
-    for ia in range(len(snapshot)):
-        (care_a, val_a), out_a = snapshot[ia]
+    for ia, ((care_a, val_a), out_a) in enumerate(snapshot):
         if live.get((care_a, val_a)) != out_a:
             continue
-        for ib in range(ia + 1, len(snapshot)):
+        partners = [ib for key, _ in _d1_neighbours(care_a, val_a, n)
+                    if (ib := where.get(key, -1)) > ia and snapshot[ib][1] != out_a]
+        partners += [ib for ib in by_out[out_a] if ib > ia and _diff_mask(
+            care_a, val_a, *snapshot[ib][0]).bit_count() == 2]
+        for ib in sorted(partners):
             (care_b, val_b), out_b = snapshot[ib]
             if live.get((care_b, val_b)) != out_b:
                 continue
             if live.get((care_a, val_a)) != out_a:
                 break
             diff = _diff_mask(care_a, val_a, care_b, val_b)
-            d = diff.bit_count()
-            if d == 1 and out_a != out_b:
+            if out_a != out_b:
                 options = _rewrite_d1(care_a, val_a, out_a, care_b, val_b, out_b, diff)
-            elif d == 2 and out_a == out_b:
-                options = _rewrite_d2(care_a, val_a, care_b, val_b, out_a, diff)
             else:
-                continue
+                options = _rewrite_d2(care_a, val_a, care_b, val_b, out_a, diff)
             if _try_rewrite(live, n, (care_a, val_a, out_a), (care_b, val_b, out_b), options):
                 changed = True
     return changed

@@ -246,10 +246,10 @@ def verify_identity(
 
 def verify_against_spec(
     c: Circuit,
-    f: PlaFunction,
+    f: PlaFunction | EsopCover,
     limit: int = EXHAUSTIVE_LIMIT,
 ) -> VerificationReport:
-    """Compare the circuit's truth table against the cover's OR evaluation."""
+    """Compare the circuit's truth table against the cover's (OR or XOR) evaluation."""
     if c.num_inputs != f.n or c.num_outputs != f.m:
         raise ValueError(
             f"arity mismatch: circuit {c.num_inputs}->{c.num_outputs}, function {f.n}->{f.m}"

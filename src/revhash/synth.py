@@ -93,13 +93,24 @@ class CircuitStats:
 
 
 def stats(c: Circuit) -> CircuitStats:
-    expanded = remove_superfluous_nots(expand_negative_controls(c))
-    counts = Counter(g.control_count for g in expanded.gates)
-    return CircuitStats(
-        total=len(expanded.gates),
-        by_controls=dict(sorted(counts.items())),
-        raw_gates=len(c.gates),
-    )
+    """Count the gates of remove_superfluous_nots(expand_negative_controls(c)).
+
+    One pass, building no gate: `pending` has a bit per line whose last
+    gate so far is a kept NOT, which the next NOT on that line cancels.
+    """
+    counts = Counter(g.control_count for g in c.gates if g.control_count)
+    nots = pending = 0
+    for g in c.gates:
+        flips = g.negative_mask if g.control_count else 1 << g.target
+        nots += flips.bit_count() - 2 * (flips & pending).bit_count()
+        pending ^= flips
+        if g.control_count:  # it clears its lines; the closing NOTs stay open
+            pending = pending & ~(g.positive_mask | 1 << g.target) | flips
+            nots += flips.bit_count()
+    if nots:
+        counts[0] = nots
+    return CircuitStats(total=sum(counts.values()), by_controls=dict(sorted(counts.items())),
+                        raw_gates=len(c.gates))
 
 
 def write_real(c: Circuit) -> str:

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from revhash import corpus, esop, synth
+from revhash.circuit import Circuit, Gate
 from revhash.pla import Cube, PlaFunction
 
 
@@ -44,3 +46,24 @@ def random_truth_table(rng: random.Random, n: int, m: int) -> PlaFunction:
         for x in range(1 << n)
     )
     return PlaFunction(n=n, m=m, cubes=cubes)
+
+
+@st.composite
+def circuits(draw, max_width=9):
+    """Any gates over n <= 6 inputs and m <= 3 outputs, at most max_width
+    lines: targets on every line, negative controls, uncontrolled NOTs."""
+    n = draw(st.integers(1, min(6, max_width - 1)))
+    m = draw(st.integers(1, min(3, max_width - n)))
+    gates = draw(st.lists(gates_on(n + m), max_size=10))
+    return Circuit(num_inputs=n, num_outputs=m, gates=gates)
+
+
+@st.composite
+def gates_on(draw, width):
+    """A gate on any line of `width` with up to 3 mixed controls."""
+    target = draw(st.integers(0, width - 1))
+    others = [line for line in range(width) if line != target]
+    controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+    split = draw(st.integers(0, len(controls)))
+    return Gate(target=target, positive_controls=controls[:split],
+                negative_controls=controls[split:])

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from revhash.cli import main
+from revhash.esop import EsopCover, evaluate_esop, write_esop
+from revhash.pla import Cube, int_to_bits
 
 from revhash import corpus
 
@@ -225,3 +227,25 @@ def test_exhaustive_limit_env_rejects_bad_value(monkeypatch, corpus_dir, capsys,
     assert main(["analyze", str(corpus_dir / "demo_hash4.pla")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "REVHASH_EXHAUSTIVE_LIMIT" in err
+
+
+@pytest.mark.parametrize("value", ["-3", "abc"])
+def test_exhaustive_limit_flag_rejects_bad_value(corpus_dir, capsys, value):
+    assert main(["analyze", str(corpus_dir / "demo_hash4.pla"), "--exhaustive-limit", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --exhaustive-limit must be a non-negative integer")
+
+
+@pytest.mark.parametrize("rows", [
+    [("--", "1"), ("11", "1")],  # NAND(x0, x1), where an OR reading gives 1 at 11
+    [("1-0", "10"), ("-10", "11"), ("110", "01"), ("---", "01")],
+])
+def test_esop_file_round_trip(tmp_path, capsys, rows):
+    cover = EsopCover(n=len(rows[0][0]), m=len(rows[0][1]), cubes=tuple(Cube(*r) for r in rows))
+    path = tmp_path / "cover.pla"
+    path.write_text(write_esop(cover))
+    for s in range(1 << cover.n):
+        x = int_to_bits(s, cover.n)
+        assert main(["simulate", str(path), "--input", x, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["output"] == evaluate_esop(cover, x), x
+    assert main(["verify", str(path)]) == 0

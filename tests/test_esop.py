@@ -1,7 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revhash import esop
 from revhash.esop import (
     CoverCost,
     EsopCover,
@@ -174,3 +178,64 @@ def test_esop_pla_serialization_roundtrip():
     back = read_esop(text)
     assert back.cubes == cover.cubes
     assert "esop" in cover_to_pla(cover).comments
+
+
+def all_pairs_sweep(live, n):
+    """Reference for `esop._reshape_sweep`: the all-pairs scan it replaced.
+
+    Tests every snapshot pair (ia < ib) in order; the indexed sweep must
+    make the same rewrite attempts in the same order.
+    """
+    snapshot = list(live.items())
+    changed = False
+    for ia in range(len(snapshot)):
+        (care_a, val_a), out_a = snapshot[ia]
+        if live.get((care_a, val_a)) != out_a:
+            continue
+        for ib in range(ia + 1, len(snapshot)):
+            (care_b, val_b), out_b = snapshot[ib]
+            if live.get((care_b, val_b)) != out_b:
+                continue
+            if live.get((care_a, val_a)) != out_a:
+                break
+            diff = esop._diff_mask(care_a, val_a, care_b, val_b)
+            d = diff.bit_count()
+            if d == 1 and out_a != out_b:
+                options = esop._rewrite_d1(care_a, val_a, out_a, care_b, val_b, out_b, diff)
+            elif d == 2 and out_a == out_b:
+                options = esop._rewrite_d2(care_a, val_a, care_b, val_b, out_a, diff)
+            else:
+                continue
+            if esop._try_rewrite(live, n, (care_a, val_a, out_a), (care_b, val_b, out_b), options):
+                changed = True
+    return changed
+
+
+def minimize_all_pairs(cover: EsopCover) -> EsopCover:
+    with mock.patch.object(esop, "_reshape_sweep", all_pairs_sweep):
+        return minimize(cover)
+
+
+@st.composite
+def xor_covers(draw):
+    """An XOR cover with dashes, n <= 7 inputs and m <= 3 outputs."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    rows = st.tuples(st.text("01-", min_size=n, max_size=n), st.text("01", min_size=m, max_size=m))
+    return EsopCover(n=n, m=m, cubes=tuple(Cube(i, o) for i, o in draw(st.lists(rows, max_size=40))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xor_covers())
+def test_indexed_sweep_matches_all_pairs(cover):
+    assert minimize(cover) == minimize_all_pairs(cover)
+
+
+def test_indexed_sweep_matches_all_pairs_on_corpus(corpus_funcs):
+    for name, f in corpus_funcs.items():
+        cover = from_pla(f)
+        assert minimize(cover) == minimize_all_pairs(cover), name
+
+
+def test_minimize_aes_cube_counts(corpus_funcs):
+    assert len(minimize(from_pla(corpus_funcs["aes_sbox"])).cubes) == 240
+    assert len(minimize(from_pla(corpus_funcs["aes_inv_sbox"])).cubes) == 236

@@ -26,6 +26,8 @@ from revhash.synth import reverse, synthesize
 
 from revhash import corpus
 
+from conftest import circuits, gates_on
+
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
 
@@ -240,27 +242,6 @@ def covers(draw):
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     rows = st.tuples(st.text("01-", min_size=n, max_size=n), st.text("01", min_size=m, max_size=m))
     return n, m, [Cube(i, o) for i, o in draw(st.lists(rows, max_size=8))]
-
-
-@st.composite
-def circuits(draw, max_width=9):
-    """Any gates over n <= 6 inputs and m <= 3 outputs, at most max_width
-    lines: targets on every line, negative controls, uncontrolled NOTs."""
-    n = draw(st.integers(1, min(6, max_width - 1)))
-    m = draw(st.integers(1, min(3, max_width - n)))
-    gates = draw(st.lists(gates_on(n + m), max_size=10))
-    return Circuit(num_inputs=n, num_outputs=m, gates=gates)
-
-
-@st.composite
-def gates_on(draw, width):
-    """A gate on any line of `width` with up to 3 mixed controls."""
-    target = draw(st.integers(0, width - 1))
-    others = [line for line in range(width) if line != target]
-    controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
-    split = draw(st.integers(0, len(controls)))
-    return Gate(target=target, positive_controls=controls[:split],
-                negative_controls=controls[split:])
 
 
 def _word_bits(words, s):

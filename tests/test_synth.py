@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from revhash.circuit import (
     CNOT,
@@ -14,6 +16,7 @@ from revhash.esop import EsopCover, from_pla
 from revhash.pla import Cube, parse_pla
 from revhash.sim import run
 from revhash.synth import (
+    CircuitStats,
     expand_negative_controls,
     read_real,
     remove_superfluous_nots,
@@ -22,6 +25,8 @@ from revhash.synth import (
     synthesize,
     write_real,
 )
+
+from conftest import circuits
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -164,6 +169,17 @@ def test_stats_counts_expanded_nots():
     assert st.total == 3  # NOT, CNOT, NOT
     assert st.by_controls == {0: 2, 1: 1}
     assert st.raw_gates == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(max_width=5))
+def test_stats_counts_the_expanded_cleaned_circuit(c):
+    # Few lines and plain NOTs make NOT pairs open, cancel and get blocked.
+    expanded = remove_superfluous_nots(expand_negative_controls(c))
+    counts = Counter(g.control_count for g in expanded.gates)
+    assert stats(c) == CircuitStats(total=len(expanded.gates),
+                                    by_controls=dict(sorted(counts.items())),
+                                    raw_gates=len(c.gates))
 
 
 def test_real_roundtrip_preserves_gates(small_corpus):
