@@ -11,7 +11,7 @@ from .circuit import Circuit, Gate, read_circuit_json, write_circuit_json
 from .errors import PlaLexicalError, PlaParseError, PlaStructureError, ResourceLimitError
 from .esop import CoverCost, EsopCover, cost, evaluate_esop, from_pla, minimize
 from .invert import PreimageResult, preimage_one, preimages_bruteforce, preimages_deduce
-from .pla import CoverSemantics, Cube, PlaFunction, evaluate_pla, parse_pla, write_pla
+from .pla import Cube, PlaFunction, evaluate_pla, parse_pla, write_pla
 from .sim import (
     VerificationReport,
     VerifyMode,

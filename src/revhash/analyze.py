@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import esop, synth
-from .pla import PlaFunction, int_to_bits, parse_pla
+from .pla import PlaFunction, int_to_bits
 from .sim import EXHAUSTIVE_LIMIT, _columns, forward_words
 
 
@@ -109,7 +109,7 @@ class BenchRecord:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def bench_function(name: str, f: PlaFunction, effort: int = esop.DEFAULT_EFFORT) -> BenchRecord:
+def bench_function(name: str, f: PlaFunction | esop.EsopCover) -> BenchRecord:
     """Run the pipeline with and without minimization and record the stats.
 
     Timed phases use a monotonic clock and cover only minimization and
@@ -119,7 +119,7 @@ def bench_function(name: str, f: PlaFunction, effort: int = esop.DEFAULT_EFFORT)
     cover = esop.from_pla(f)
 
     t0 = time.perf_counter()
-    minimized = esop.minimize(cover, effort=effort)
+    minimized = esop.minimize(cover)
     t_min = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -146,15 +146,14 @@ def bench_function(name: str, f: PlaFunction, effort: int = esop.DEFAULT_EFFORT)
     )
 
 
-def bench_run(paths, effort: int = esop.DEFAULT_EFFORT) -> tuple[list[BenchRecord], str]:
-    """Benchmark each .pla file; per-file failures go into the record."""
+def bench_run(paths) -> tuple[list[BenchRecord], str]:
+    """Benchmark each .pla file, read by esop.read_cover; per-file failures go into the record."""
     records = []
     for path in paths:
         path = Path(path)
         name = path.stem
         try:
-            f = parse_pla(path.read_text())
-            records.append(bench_function(name, f, effort=effort))
+            records.append(bench_function(name, esop.read_cover(path.read_text())))
         except Exception as exc:  # noqa: BLE001 - batch keeps going
             records.append(BenchRecord(name=name, error=str(exc)))
     return records, render_bench_table(records)

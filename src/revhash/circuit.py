@@ -87,14 +87,6 @@ class Circuit:
     def width(self) -> int:
         return self.num_inputs + self.num_outputs
 
-    @property
-    def input_lines(self) -> range:
-        return range(self.num_inputs)
-
-    @property
-    def output_lines(self) -> range:
-        return range(self.num_inputs, self.width)
-
     def with_gates(self, gates, name: str | None = None) -> "Circuit":
         return replace(self, gates=tuple(gates), name=name or self.name)
 

@@ -1,8 +1,8 @@
 """Command-line frontend for the synthesis / reversal / inversion pipeline.
 
-Exit codes: 0 success, 1 input error, 2 resource limit, 3 verification
-failure. With --format json the machine-readable document goes to stdout
-and human-readable text to stderr.
+Exit codes: 0 success, 1 input or usage error, 2 resource limit,
+3 verification failure. With --format json the machine-readable document
+goes to stdout and human-readable text to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 from . import analyze, corpus, esop, invert, sim, synth
 from .circuit import Circuit, read_circuit_json, write_circuit_json
 from .errors import PlaParseError, ResourceLimitError
-from .pla import parse_pla
 from .synth import read_real, write_real
 
 EXIT_OK = 0
@@ -39,8 +38,16 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the usage line and reach main as ValueError, so they
+    exit 1 as input errors do; argparse's exit 2 would read as a resource limit."""
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revhash",
         description="Synthesize reversible circuits from .pla tables, reverse them, "
                     "and recover hash preimages.",
@@ -52,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", type=Path, help="write RevLib-style .real here")
     p.add_argument("--json-circuit", type=Path, help="write the JSON circuit document here")
     p.add_argument("--no-minimize", action="store_true", help="skip cube minimization")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("reverse", help="reverse the gate order of a circuit file")
@@ -63,17 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a circuit or .pla forward on one input")
     p.add_argument("path", type=Path)
     p.add_argument("--input", required=True, help="input bit vector, e.g. 0110")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("invert", help="find preimages of a target output")
     p.add_argument("path", type=Path, help=".pla, .real, or circuit .json")
     p.add_argument("--target", required=True, help="output bit vector, e.g. 1001")
     p.add_argument("--brute", action="store_true", help="use brute force instead of deduction")
-    p.add_argument("--no-crosscheck", action="store_true",
-                   help="skip the automatic brute-force cross-check of deduction results")
     p.add_argument("--first", action="store_true", help="stop at the first preimage")
-    _common_flags(p)
+    _limit_flag(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("verify", help="synthesize, reverse, and verify identity + equivalence")
@@ -83,18 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
     p.add_argument("--samples", type=int, default=10_000,
                    help="sample count when the width exceeds the exhaustive limit")
-    _common_flags(p)
+    _limit_flag(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="avalanche and collision reports for a .pla")
     p.add_argument("pla", type=Path)
-    _common_flags(p)
+    _limit_flag(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bench", help="benchmark every .pla in a directory")
     p.add_argument("corpus", type=Path)
     p.add_argument("--json-lines", type=Path, help="also write one JSON record per line here")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("corpus", help="write the built-in benchmark .pla files")
@@ -106,12 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--effort", type=int, default=esop.DEFAULT_EFFORT,
-                   help="minimization pass budget")
+def _limit_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exhaustive-limit", action=_LimitFlag,
                    default=_limit(os.environ.get(ENV_LIMIT, sim.EXHAUSTIVE_LIMIT), ENV_LIMIT),
                    help=f"log2 of the most states an exhaustive sweep may cover (env {ENV_LIMIT})")
+
+
+def _format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -148,23 +157,17 @@ def _load_circuit(path: Path) -> Circuit:
     raise ValueError(f"cannot read a circuit from {path} (want .real or .json)")
 
 
-def _read_function(path: Path):
-    """A .pla file as an XOR cover if marked `# esop`, else as an OR cover."""
-    f = parse_pla(path.read_text())
-    return esop.EsopCover(n=f.n, m=f.m, cubes=f.cubes) if "esop" in f.comments else f
-
-
-def _pipeline(path: Path, minimize: bool, effort: int):
-    f = _read_function(path)
-    cover = f if isinstance(f, esop.EsopCover) else esop.from_pla(f)
+def _pipeline(path: Path, minimize: bool):
+    f = esop.read_cover(path.read_text())
+    cover = esop.from_pla(f)
     if minimize:
-        cover = esop.minimize(cover, effort=effort)
+        cover = esop.minimize(cover)
     circuit = synth.synthesize(cover, name=path.stem)
     return f, cover, circuit
 
 
 def cmd_synth(args) -> int:
-    f, cover, circuit = _pipeline(args.pla, not args.no_minimize, args.effort)
+    f, cover, circuit = _pipeline(args.pla, not args.no_minimize)
     st = synth.stats(circuit)
     cc = esop.cost(cover)
     if args.output:
@@ -202,7 +205,7 @@ def cmd_reverse(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.path.suffix == ".pla":
-        f, _, circuit = _pipeline(args.path, True, args.effort)
+        f, _, circuit = _pipeline(args.path, True)
     else:
         circuit = _load_circuit(args.path)
     x = args.input
@@ -218,7 +221,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_invert(args) -> int:
     if args.path.suffix == ".pla":
-        f, cover, circuit = _pipeline(args.path, True, args.effort)
+        f, cover, circuit = _pipeline(args.path, True)
     else:
         f = None
         circuit = _load_circuit(args.path)
@@ -234,7 +237,7 @@ def cmd_invert(args) -> int:
         return EXIT_OK
     else:
         result = invert.preimages_deduce(circuit, y)
-        if not args.no_crosscheck and circuit.num_inputs <= args.exhaustive_limit:
+        if circuit.num_inputs <= args.exhaustive_limit:
             oracle = invert.preimages_bruteforce(
                 f if f is not None else circuit, y, limit=args.exhaustive_limit)
             if oracle.preimages != result.preimages:
@@ -251,7 +254,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f, cover, circuit = _pipeline(args.pla, True, args.effort)
+    f, cover, circuit = _pipeline(args.pla, True)
     reversed_circuit = synth.reverse(circuit)
     forward = circuit
     if args.mutate_drop_gate is not None:
@@ -260,14 +263,9 @@ def cmd_verify(args) -> int:
             raise ValueError(f"gate index {k} out of range (0..{len(circuit.gates) - 1})")
         forward = circuit.with_gates(circuit.gates[:k] + circuit.gates[k + 1:])
 
-    if forward.width <= args.exhaustive_limit:
-        identity = sim.verify_identity(forward, reversed_circuit,
-                                       mode=sim.VerifyMode.EXHAUSTIVE,
-                                       width_limit=args.exhaustive_limit)
-    else:
-        identity = sim.verify_identity(forward, reversed_circuit,
-                                       mode=sim.VerifyMode.SAMPLED,
-                                       samples=args.samples, seed=args.seed)
+    mode = sim.VerifyMode.EXHAUSTIVE if forward.width <= args.exhaustive_limit else sim.VerifyMode.SAMPLED
+    identity = sim.verify_identity(forward, reversed_circuit, mode=mode, samples=args.samples,
+                                   seed=args.seed, width_limit=args.exhaustive_limit)
     spec_check = sim.verify_against_spec(forward, f, limit=args.exhaustive_limit)
 
     doc = {"identity": identity.to_json_dict(), "equivalence": spec_check.to_json_dict()}
@@ -285,7 +283,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    f = _read_function(args.pla)
+    f = esop.read_cover(args.pla.read_text())
     av = analyze.avalanche_check(f, limit=args.exhaustive_limit)
     col = analyze.collision_scan(f, limit=args.exhaustive_limit)
     doc = {
@@ -317,7 +315,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_bench(args) -> int:
     paths = sorted(args.corpus.glob("*.pla"))
-    records, table = analyze.bench_run(paths, effort=args.effort)
+    records, table = analyze.bench_run(paths)
     if args.json_lines:
         args.json_lines.write_text(analyze.bench_json_lines(records))
     doc = {"records": [r.to_json_dict() for r in records]}

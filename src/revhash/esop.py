@@ -1,9 +1,12 @@
 """Exclusive-or sum-of-products covers and cube-count minimization.
 
 An EsopCover reads its rows XOR-wise: output bit j of f(x) is the XOR of
-output bit j over every cube matching x. Conversion from a conventional
-(OR-semantics) .pla cover goes through a disjoint minterm cover, on which
-the two readings coincide.
+output bit j over every cube matching x. A .pla file holds such a cover
+when it carries a `# esop` comment: `write_esop` writes that marker, and
+`read_cover` returns an EsopCover for a marked file and a PlaFunction (rows
+read OR-wise) otherwise. `from_pla` converts a PlaFunction through a
+disjoint minterm cover, on which the two readings coincide, and passes an
+EsopCover through, so every reader of a .pla file takes the same path.
 
 The minimizer is an iterated pairwise cube transformer. Cube distance is
 the number of input positions whose literals differ (don't-care counts as
@@ -19,8 +22,8 @@ distinct from 0 and 1). The moves:
     immediately cancels or merges with the rest of the cover.
 
 Every accepted move keeps the covered function identical and never grows
-the cube count; passes repeat until a sweep yields no accepted move or the
-effort budget runs out.
+the cube count; sweeps repeat until one yields no accepted move, at most
+MAX_SWEEPS times.
 
 A sweep finds partners by lookup in an index over its snapshot (the 2n keys
 at distance 1, the cubes with equal outputs for distance 2) instead of
@@ -34,16 +37,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .pla import (
-    Cube,
-    PlaFunction,
-    bits_to_int,
-    int_to_bits,
-    parse_pla,
-    write_pla,
-)
+from .pla import Cube, PlaFunction, bits_to_int, check_cubes, int_to_bits, parse_pla, write_pla
 
-DEFAULT_EFFORT = 64
+# minimize stops after this many sweeps; perm12 needs 13, the corpus at most 10.
+MAX_SWEEPS = 64
 # from_pla gives up past this many generated minterm cubes.
 DEFAULT_EXPANSION_BUDGET = 1 << 24
 
@@ -64,11 +61,7 @@ class EsopCover:
     cubes: tuple[Cube, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"arities must be >= 1, got n={self.n} m={self.m}")
-        for c in self.cubes:
-            if len(c.inputs) != self.n or len(c.outputs) != self.m:
-                raise ValueError(f"cube {c.inputs} {c.outputs} does not conform to n={self.n} m={self.m}")
+        check_cubes(self.n, self.m, self.cubes)
         counts: dict[Cube, int] = {}
         for c in self.cubes:
             counts[c] = counts.get(c, 0) + 1
@@ -103,13 +96,16 @@ def evaluate_esop(c: EsopCover, x: str) -> str:
     return int_to_bits(acc, c.m)
 
 
-def from_pla(f: PlaFunction, budget: int = DEFAULT_EXPANSION_BUDGET) -> EsopCover:
+def from_pla(f: PlaFunction | EsopCover, budget: int = DEFAULT_EXPANSION_BUDGET) -> EsopCover:
     """Convert an OR-semantics cover to an equivalent XOR cover.
 
     Builds the disjoint minterm cover (accumulating overlapping rows with
     OR), drops all-zero-output minterms, and orders rows by input value.
     On the result, XOR evaluation equals the original's OR evaluation.
+    An EsopCover is returned unchanged.
     """
+    if isinstance(f, EsopCover):
+        return f
     steps = 0
     for cu in f.cubes:
         steps += 1 << (f.n - cu.num_literals)
@@ -136,32 +132,28 @@ def from_pla(f: PlaFunction, budget: int = DEFAULT_EXPANSION_BUDGET) -> EsopCove
     return EsopCover(n=f.n, m=f.m, cubes=cubes)
 
 
-def cover_to_pla(c: EsopCover, name: str | None = None) -> PlaFunction:
-    """View a cover as a .pla whose rows are understood XOR-wise."""
-    return PlaFunction(n=c.n, m=c.m, cubes=c.cubes, name=name, comments=("esop",))
-
-
 def write_esop(c: EsopCover, name: str | None = None) -> str:
-    return write_pla(cover_to_pla(c, name))
+    """The cover as .pla text marked `# esop`, so `read_cover` reads it back XOR-wise."""
+    return write_pla(PlaFunction(n=c.n, m=c.m, cubes=c.cubes, name=name, comments=("esop",)))
 
 
-def read_esop(text: str) -> EsopCover:
-    """Read a .pla document as an XOR cover (duplicate row pairs cancel)."""
+def read_cover(text: str) -> EsopCover | PlaFunction:
+    """Parse a .pla document: an EsopCover if it is marked `# esop`, else a PlaFunction."""
     f = parse_pla(text)
-    return EsopCover(n=f.n, m=f.m, cubes=f.cubes)
+    return EsopCover(n=f.n, m=f.m, cubes=f.cubes) if "esop" in f.comments else f
 
 
-def minimize(c: EsopCover, effort: int = DEFAULT_EFFORT) -> EsopCover:
+def minimize(c: EsopCover) -> EsopCover:
     """Shrink the cube count without changing the covered function.
 
-    `effort` bounds the number of rewrite sweeps; exhaustion returns the
-    best cover found so far. The result never has more cubes than the
-    input, and a second call at the same effort is a fixpoint once a sweep
-    goes by without an accepted move.
+    Rewrite sweeps repeat until one accepts no move, at most MAX_SWEEPS
+    times; on reaching that bound the cover found so far is returned. The
+    result never has more cubes than the input, and minimizing it again
+    returns it unchanged once a sweep went by without an accepted move.
     """
     n = c.n
     live = _reduce([(cu.care_mask, cu.value_mask, cu.output_mask) for cu in c.cubes], n)
-    for _ in range(max(1, effort)):
+    for _ in range(MAX_SWEEPS):
         if not _reshape_sweep(live, n):
             break
     # Cube order is semantically free under XOR; group cubes by their

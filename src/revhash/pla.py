@@ -14,7 +14,6 @@ such a vector is packed into an int, bit i of the int is character i.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,13 +21,6 @@ from .errors import PlaLexicalError, PlaParseError, PlaStructureError
 
 _INPUT_CHARS = frozenset("01-")
 _OUTPUT_CHARS = frozenset("01-~")
-
-
-class CoverSemantics(enum.Enum):
-    """How the rows of a cover combine: conventional OR, or XOR (ESOP)."""
-
-    INCLUSIVE_OR = "or"
-    EXCLUSIVE_OR = "xor"
 
 
 @dataclass(frozen=True)
@@ -98,15 +90,20 @@ class PlaFunction:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"arities must be >= 1, got n={self.n} m={self.m}")
-        for c in self.cubes:
-            if len(c.inputs) != self.n or len(c.outputs) != self.m:
-                raise ValueError(f"cube {c.inputs} {c.outputs} does not conform to n={self.n} m={self.m}")
+        check_cubes(self.n, self.m, self.cubes)
 
     def same_cover(self, other: "PlaFunction") -> bool:
         """Cube-for-cube equality of the function content (ignores metadata)."""
         return (self.n, self.m, self.cubes) == (other.n, other.m, other.cubes)
+
+
+def check_cubes(n: int, m: int, cubes) -> None:
+    """Raise ValueError unless n, m >= 1 and every cube has n inputs and m outputs."""
+    if n < 1 or m < 1:
+        raise ValueError(f"arities must be >= 1, got n={n} m={m}")
+    for c in cubes:
+        if len(c.inputs) != n or len(c.outputs) != m:
+            raise ValueError(f"cube {c.inputs} {c.outputs} does not conform to n={n} m={m}")
 
 
 def bits_to_int(bits: str) -> int:
@@ -243,22 +240,15 @@ def write_pla(f: PlaFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_pla(f: PlaFunction, x: str, semantics: CoverSemantics = CoverSemantics.INCLUSIVE_OR) -> str:
-    """Evaluate the cover at input x under the given row-combination semantics.
-
-    Output bit j is the OR (resp. XOR) of output bit j over all cubes whose
-    non-dash literals match x.
-    """
+def evaluate_pla(f: PlaFunction, x: str) -> str:
+    """Evaluate the cover at input x: output bit j is the OR of output bit j
+    over all cubes whose non-dash literals match x (see esop.evaluate_esop
+    for the XOR reading)."""
     if len(x) != f.n:
         raise ValueError(f"input length {len(x)} != n={f.n}")
     xi = bits_to_int(x)
     acc = 0
-    if semantics is CoverSemantics.INCLUSIVE_OR:
-        for c in f.cubes:
-            if (xi & c.care_mask) == c.value_mask:
-                acc |= c.output_mask
-    else:
-        for c in f.cubes:
-            if (xi & c.care_mask) == c.value_mask:
-                acc ^= c.output_mask
+    for c in f.cubes:
+        if (xi & c.care_mask) == c.value_mask:
+            acc |= c.output_mask
     return int_to_bits(acc, f.m)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from revhash import corpus, esop, synth
+from revhash import corpus
 from revhash.circuit import Circuit, Gate
 from revhash.pla import Cube, PlaFunction
 
@@ -17,13 +17,6 @@ def corpus_funcs():
 def small_corpus(corpus_funcs):
     """The 4-bit and 6-bit functions (cheap enough for per-test pipelines)."""
     return {name: f for name, f in corpus_funcs.items() if f.n <= 6}
-
-
-def pipeline(f, minimized=True, effort=esop.DEFAULT_EFFORT, name=None):
-    cover = esop.from_pla(f)
-    if minimized:
-        cover = esop.minimize(cover, effort=effort)
-    return cover, synth.synthesize(cover, name=name)
 
 
 def random_function(rng: random.Random, n=None, m=None, max_cubes=6, allow_dash=True) -> PlaFunction:

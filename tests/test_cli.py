@@ -229,6 +229,13 @@ def test_exhaustive_limit_env_rejects_bad_value(monkeypatch, corpus_dir, capsys,
     assert err.startswith("error:") and "REVHASH_EXHAUSTIVE_LIMIT" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invert", "--target", "1001"], ["verify", "--samples", "64"], ["analyze"],
+])
+def test_exhaustive_limit_flag_on_sweeping_commands(corpus_dir, argv):
+    assert main([argv[0], str(corpus_dir / "demo_hash4.pla"), *argv[1:], "--exhaustive-limit", "4"]) == 0
+
+
 @pytest.mark.parametrize("value", ["-3", "abc"])
 def test_exhaustive_limit_flag_rejects_bad_value(corpus_dir, capsys, value):
     assert main(["analyze", str(corpus_dir / "demo_hash4.pla"), "--exhaustive-limit", value]) == 1
@@ -249,3 +256,43 @@ def test_esop_file_round_trip(tmp_path, capsys, rows):
         assert main(["simulate", str(path), "--input", x, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["output"] == evaluate_esop(cover, x), x
     assert main(["verify", str(path)]) == 0
+
+
+NAND_ESOP = EsopCover(n=2, m=1, cubes=(Cube("--", "1"), Cube("11", "1")))
+
+
+def test_bench_reads_esop_marker(tmp_path, capsys):
+    (tmp_path / "nand.pla").write_text(write_esop(NAND_ESOP))
+    assert main(["bench", str(tmp_path), "--format", "json"]) == 0
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    assert (record["cube_count_before"], record["cube_count_after"]) == (2, 2)
+    assert (record["gates_minimized"], record["gates_unminimized"]) == (2, 2)
+    assert main(["synth", str(tmp_path / "nand.pla"), "--format", "json"]) == 0
+    synth_doc = json.loads(capsys.readouterr().out)
+    assert (synth_doc["cover"]["cubes"], synth_doc["gates"]["total"]) == (2, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"],
+    ["frobnicate"],
+    ["synth", "x.pla", "--effort", "3"],
+    ["invert", "x.pla", "--target", "1", "--no-crosscheck"],
+    ["synth", "x.pla", "--exhaustive-limit", "3"],
+    ["simulate", "x.pla", "--input", "01", "--exhaustive-limit", "3"],
+    ["bench", "dir", "--exhaustive-limit", "3"],
+    ["verify", "x.pla", "--samples", "many"],
+    ["analyze", "x.pla", "--format", "xml"],
+], ids=["missing-file", "unknown-command", "effort", "no-crosscheck", "synth-limit",
+        "simulate-limit", "bench-limit", "bad-int", "bad-choice"])
+def test_usage_error_exits_1_with_usage_line(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: revhash") and "\nerror: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["invert", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: revhash")

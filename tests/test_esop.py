@@ -10,11 +10,10 @@ from revhash.esop import (
     CoverCost,
     EsopCover,
     cost,
-    cover_to_pla,
     evaluate_esop,
     from_pla,
     minimize,
-    read_esop,
+    read_cover,
     write_esop,
 )
 from revhash.errors import ResourceLimitError
@@ -175,9 +174,17 @@ def test_esop_pla_serialization_roundtrip():
     cover = EsopCover(n=2, m=1, cubes=(Cube("1-", "1"), Cube("01", "1")))
     text = write_esop(cover, name="demo")
     assert "# esop" in text
-    back = read_esop(text)
-    assert back.cubes == cover.cubes
-    assert "esop" in cover_to_pla(cover).comments
+    back = read_cover(text)
+    assert isinstance(back, EsopCover) and back.cubes == cover.cubes
+    assert from_pla(back) is back
+
+
+def test_read_cover_unmarked_is_pla_function():
+    # The same rows without the marker are an OR cover: 1 at 11, not 0.
+    f = read_cover(".i 2\n.o 1\n-- 1\n11 1\n.e\n")
+    assert isinstance(f, PlaFunction) and evaluate_pla(f, "11") == "1"
+    marked = read_cover("# esop\n.i 2\n.o 1\n-- 1\n11 1\n.e\n")
+    assert isinstance(marked, EsopCover) and evaluate_esop(marked, "11") == "0"
 
 
 def all_pairs_sweep(live, n):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from revhash.errors import PlaLexicalError, PlaParseError, PlaStructureError
+from revhash.esop import EsopCover, evaluate_esop
 from revhash.pla import (
-    CoverSemantics,
     Cube,
     PlaFunction,
     bits_to_int,
@@ -17,9 +17,6 @@ from revhash.pla import (
 from conftest import random_function
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
-
-OR = CoverSemantics.INCLUSIVE_OR
-XOR = CoverSemantics.EXCLUSIVE_OR
 
 
 def test_cube_literal_view():
@@ -132,15 +129,17 @@ def test_roundtrip_random_functions():
 
 def test_evaluate_or_semantics():
     f = parse_pla(AND_PLA)
-    assert evaluate_pla(f, "11", OR) == "1"
-    assert evaluate_pla(f, "01", OR) == "0"
+    assert evaluate_pla(f, "11") == "1"
+    assert evaluate_pla(f, "01") == "0"
 
 
 def test_evaluate_xor_three_matches():
-    f = PlaFunction(n=2, m=1, cubes=(Cube("1-", "1"), Cube("-1", "1"), Cube("11", "1")))
-    assert evaluate_pla(f, "11", XOR) == "1"  # 1 ^ 1 ^ 1
-    assert evaluate_pla(f, "10", XOR) == "1"
-    assert evaluate_pla(f, "00", XOR) == "0"
+    cubes = (Cube("1-", "1"), Cube("-1", "1"), Cube("11", "1"))
+    f, cover = PlaFunction(n=2, m=1, cubes=cubes), EsopCover(n=2, m=1, cubes=cubes)
+    assert evaluate_esop(cover, "11") == "1"  # 1 ^ 1 ^ 1
+    assert evaluate_pla(f, "11") == "1"  # 1 | 1 | 1
+    assert evaluate_esop(cover, "10") == "1"
+    assert evaluate_esop(cover, "00") == "0"
 
 
 def test_evaluate_arity_check():
@@ -165,4 +164,4 @@ def test_disjoint_cover_semantics_agree():
         f = PlaFunction(n=f.n, m=f.m, cubes=cubes)
         for x in range(1 << f.n):
             xs = int_to_bits(x, f.n)
-            assert evaluate_pla(f, xs, OR) == evaluate_pla(f, xs, XOR)
+            assert evaluate_pla(f, xs) == evaluate_esop(EsopCover(n=f.n, m=f.m, cubes=f.cubes), xs)
