@@ -40,10 +40,20 @@ def main(argv=None) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors print the usage line and reach main as ValueError, so they
-    exit 1 as input errors do; argparse's exit 2 would read as a resource limit."""
+    exit 1 as input errors do; argparse's exit 2 would read as a resource limit.
+
+    The `--exhaustive-limit` default is read from the environment only once a
+    subcommand that sweeps was chosen, so a bad value cannot fail `--help` or
+    a subcommand that runs no sweep."""
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValueError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        if getattr(namespace, "exhaustive_limit", 0) is None:
+            namespace.exhaustive_limit = _limit(os.environ.get(ENV_LIMIT, sim.EXHAUSTIVE_LIMIT), ENV_LIMIT)
+        return namespace, rest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _limit_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exhaustive-limit", action=_LimitFlag,
-                   default=_limit(os.environ.get(ENV_LIMIT, sim.EXHAUSTIVE_LIMIT), ENV_LIMIT),
                    help=f"log2 of the most states an exhaustive sweep may cover (env {ENV_LIMIT})")
 
 
@@ -220,26 +229,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    if args.path.suffix == ".pla":
-        f, cover, circuit = _pipeline(args.path, True)
-    else:
-        f = None
-        circuit = _load_circuit(args.path)
-
-    y = args.target
+    y, limit = args.target, args.exhaustive_limit
     if args.brute:
-        result = invert.preimages_bruteforce(f if f is not None else circuit, y,
-                                             limit=args.exhaustive_limit)
-    elif args.first:
-        x = invert.preimage_one(circuit, y)
-        doc = {"target": y, "preimage": x}
-        _emit(args, doc, f"{y} <- {x if x is not None else '(none)'}")
-        return EXIT_OK
+        fn = esop.read_cover(args.path.read_text()) if args.path.suffix == ".pla" else _load_circuit(args.path)
+        result = invert.preimages_bruteforce(fn, y, limit=limit)
     else:
-        result = invert.preimages_deduce(circuit, y)
-        if circuit.num_inputs <= args.exhaustive_limit:
-            oracle = invert.preimages_bruteforce(
-                f if f is not None else circuit, y, limit=args.exhaustive_limit)
+        if args.path.suffix == ".pla":
+            f, _, circuit = _pipeline(args.path, True)
+        else:
+            f = circuit = _load_circuit(args.path)
+        if args.first:
+            x = invert.preimage_one(circuit, y, limit=limit)
+            doc = {"target": y, "preimage": x}
+            _emit(args, doc, f"{y} <- {x if x is not None else '(none)'}")
+            return EXIT_OK
+        result = invert.preimages_deduce(circuit, y, limit=limit)
+        if circuit.num_inputs <= limit:
+            oracle = invert.preimages_bruteforce(f, y, limit=limit)
             if oracle.preimages != result.preimages:
                 print("error: deduction disagrees with brute-force cross-check", file=sys.stderr)
                 return EXIT_VERIFY

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
+from revhash.circuit import CNOT, Circuit, write_circuit_json
 from revhash.cli import main
 from revhash.esop import EsopCover, evaluate_esop, write_esop
 from revhash.pla import Cube, int_to_bits
 
-from revhash import corpus
+from revhash import corpus, synth
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,23 @@ def test_invert_below_limit_skips_crosscheck(corpus_dir, capsys):
     assert json.loads(capsys.readouterr().out)["preimages"] == ["0110"]
 
 
+def test_invert_brute_runs_no_synthesis(corpus_dir, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--brute must not synthesize")
+
+    monkeypatch.setattr(synth, "synthesize", refuse)
+    assert main(["invert", str(corpus_dir / "aes_sbox.pla"), "--target", "01100011",
+                 "--brute", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["preimages"] == ["00000000"]
+
+
+def test_invert_deduction_budget_exit_code(tmp_path, capsys):
+    path = tmp_path / "cnot14.json"
+    path.write_text(write_circuit_json(Circuit(num_inputs=14, num_outputs=1, gates=(CNOT(0, 14),))))
+    assert main(["invert", str(path), "--target", "1", "--exhaustive-limit", "10"]) == 2
+    assert capsys.readouterr().err.startswith("resource limit: deduction")
+
+
 def test_resource_limit_exit_code(tmp_path):
     # A single full-don't-care row over 30 inputs blows the cover budget.
     pla = tmp_path / "wide.pla"
@@ -227,6 +245,18 @@ def test_exhaustive_limit_env_rejects_bad_value(monkeypatch, corpus_dir, capsys,
     assert main(["analyze", str(corpus_dir / "demo_hash4.pla")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "REVHASH_EXHAUSTIVE_LIMIT" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synth", "demo_hash4.pla"]])
+def test_exhaustive_limit_env_ignored_without_sweep(monkeypatch, corpus_dir, capsys, argv):
+    monkeypatch.setenv("REVHASH_EXHAUSTIVE_LIMIT", "abc")
+    monkeypatch.chdir(corpus_dir)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert code == 0
+    assert "REVHASH_EXHAUSTIVE_LIMIT" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revhash.circuit import CNOT, NOT, Circuit, Gate
+from revhash.errors import ResourceLimitError
 from revhash.esop import from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
 from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
@@ -165,8 +166,64 @@ def synthesized_shape(draw):
 def test_deduce_matches_forward_runs(case):
     c, y, init = case
     expected = forward_preimages(c, y, init)
-    assert preimages_deduce(c, y, output_init=init).preimages == expected
-    assert preimage_one(c, y, output_init=init) == (expected[0] if expected else None)
+    # At the default every case (n <= 7) is one leaf; 0 and 3 run the
+    # propagating search above the leaves too.
+    for leaf_vars in (0, 3, invert.LEAF_VARS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invert, "LEAF_VARS", leaf_vars)
+            assert preimages_deduce(c, y, output_init=init).preimages == expected, leaf_vars
+            assert preimage_one(c, y, output_init=init) == (expected[0] if expected else None), leaf_vars
+
+
+def test_deduce_repeated_gate_and_shared_cube():
+    # x0&x1 twice on line 0 cancels; x1&~x2 on lines 0 and 1 is one predicate.
+    repeated = Gate(target=3, positive_controls={0, 1})
+    shared = (Gate(target=3, positive_controls={1}, negative_controls={2}),
+              Gate(target=4, positive_controls={1}, negative_controls={2}))
+    circuits = (
+        Circuit(num_inputs=3, num_outputs=2, gates=(repeated, NOT(4), repeated, CNOT(2, 4))),
+        Circuit(num_inputs=3, num_outputs=2, gates=(*shared, CNOT(0, 3))),
+    )
+    for c in circuits:
+        for y in ("00", "01", "10", "11"):
+            expected = forward_preimages(c, y, "00")
+            assert preimages_deduce(c, y).preimages == expected, (c, y)
+            assert preimage_one(c, y) == (expected[0] if expected else None), (c, y)
+
+
+def test_deduce_table_memo_follows_circuit():
+    # Alternating circuits and reusing one with another initialization must
+    # never answer from the other circuit's table or the last target's state.
+    a, b = demo_circuit(), and_circuit()
+    for _ in range(2):
+        assert preimages_deduce(a, "1001").preimages == ("0110",)
+        assert preimages_deduce(b, "1").preimages == ("11",)
+        assert preimage_one(a, "1001") == "0110"
+        assert preimage_one(b, "0") == "00"
+    init = "1010"
+    y = run(a, "0110" + init)[4:]
+    assert preimages_deduce(a, y, output_init=init).preimages == forward_preimages(a, y, init)
+    assert preimages_deduce(a, "1001").preimages == ("0110",)
+
+
+def one_cnot_circuit(n):
+    """Output = input 0; every other input is free."""
+    return Circuit(num_inputs=n, num_outputs=1, gates=(CNOT(0, n),))
+
+
+def test_deduce_budget_raises():
+    with pytest.raises(ResourceLimitError, match="exceed limit 2\\^10"):
+        preimages_deduce(one_cnot_circuit(14), "1", limit=10)
+    # No preimage, but only inputs 12 and 13 show it, so the search walks
+    # the inputs before them first.
+    c = Circuit(num_inputs=14, num_outputs=2,
+                gates=(CNOT(12, 14), CNOT(13, 14), CNOT(12, 15), CNOT(13, 15)))
+    for deduce in DEDUCERS:
+        with pytest.raises(ResourceLimitError, match="exceed limit 2\\^10"):
+            deduce(c, "10", limit=10)
+    assert preimage_one(c, "10") is None
+    # With n <= limit the bound is never reached.
+    assert len(preimages_deduce(one_cnot_circuit(14), "1", limit=14).preimages) == 1 << 13
 
 
 # Both entry points share the input checks.
@@ -208,9 +265,19 @@ def test_deduce_rejects_output_line_controls():
 
 
 def test_deduce_forward_check_rejects_unsound_search(monkeypatch):
-    # With propagation that never prunes, the search reaches inputs that are
-    # not preimages; the forward check must refuse the first one.
-    monkeypatch.setattr(invert._XorSystem, "_propagate", lambda self, *state: state)
+    # With propagation that never prunes and leaves that accept every
+    # assignment, the search offers inputs that are not preimages; the
+    # forward check must refuse the first one.
+    def accept_all(self, alive, free, value):
+        sub = 0
+        while True:
+            self._record(value | sub)
+            if sub == free:
+                return
+            sub = (sub - free) & free  # next subset of free, in counting order
+
+    monkeypatch.setattr(invert._Search, "_propagate", lambda self, *state: state)
+    monkeypatch.setattr(invert._Search, "_leaf", accept_all)
     with pytest.raises(RuntimeError, match="fails forward evaluation"):
         preimages_deduce(and_circuit(), "1")
 

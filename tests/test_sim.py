@@ -10,7 +10,7 @@ from revhash.circuit import CNOT, NOT, Circuit, Gate
 from revhash.cli import ENV_LIMIT, build_parser
 from revhash.errors import ResourceLimitError
 from revhash.esop import EsopCover, evaluate_esop, from_pla, minimize
-from revhash.invert import preimages_bruteforce
+from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
 from revhash.pla import Cube, PlaFunction, evaluate_pla, int_to_bits, parse_pla
 from revhash.sim import (
     EXHAUSTIVE_LIMIT,
@@ -274,7 +274,8 @@ def test_one_exhaustive_limit(monkeypatch):
         fn.__name__: inspect.signature(fn).parameters[param].default
         for fn, param in ((forward_words, "limit"), (truth_table, "limit"),
                           (verify_identity, "width_limit"), (verify_against_spec, "limit"),
-                          (preimages_bruteforce, "limit"), (avalanche_check, "limit"),
+                          (preimages_bruteforce, "limit"), (preimages_deduce, "limit"),
+                          (preimage_one, "limit"), (avalanche_check, "limit"),
                           (collision_scan, "limit"))
     }
     monkeypatch.delenv(ENV_LIMIT, raising=False)
