@@ -320,13 +320,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not args.corpus.is_dir():
+        raise ValueError(f"{args.corpus} is not a directory")
     paths = sorted(args.corpus.glob("*.pla"))
+    if not paths:
+        raise ValueError(f"no .pla files in {args.corpus}")
     records, table = analyze.bench_run(paths)
     if args.json_lines:
         args.json_lines.write_text(analyze.bench_json_lines(records))
     doc = {"records": [r.to_json_dict() for r in records]}
     _emit(args, doc, table)
-    if records and all(r.error for r in records):
+    if all(r.error for r in records):
         return EXIT_INPUT
     return EXIT_OK
 

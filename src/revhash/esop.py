@@ -25,15 +25,19 @@ Every accepted move keeps the covered function identical and never grows
 the cube count; sweeps repeat until one yields no accepted move, at most
 MAX_SWEEPS times.
 
-A sweep finds partners by lookup in an index over its snapshot (the 2n keys
-at distance 1, the cubes with equal outputs for distance 2) instead of
-testing every pair, and visits them in all-pairs order, so it returns the
-cover an all-pairs scan returns.
+Partners are found by lookup, never by testing every pair. The live cover
+keeps an output index (output -> keys) beside its (care, value) -> output
+dict, so a merge partner for a new cube is looked for among the cubes with
+its output alone. A sweep groups its snapshot once per input position by
+the cube with that position cleared: the cubes in one group are exactly the
+pairs at distance 1 there. Distance-2 partners come from the snapshot's
+cubes with equal outputs. Each cube's partners are visited in all-pairs
+order, so a sweep returns the cover an all-pairs scan returns.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -174,40 +178,80 @@ def _cube_text(care: int, val: int, n: int) -> str:
     )
 
 
-def _reduce(cubes: list[_MaskCube], n: int) -> dict[tuple[int, int], int]:
+class _Live(dict):
+    """The cover being minimized, (care, value) -> output, with an output index.
+
+    `by_out` maps each output to the keys holding it. Change the cover only
+    through `add` and `remove`, which keep the two in step; read it as a dict.
+    """
+
+    __slots__ = ("by_out",)
+
+    def __init__(self):
+        super().__init__()
+        self.by_out: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+
+    def add(self, key: tuple[int, int], out: int) -> None:
+        self[key] = out
+        self.by_out[out].add(key)
+
+    def remove(self, key: tuple[int, int]) -> int:
+        out = self.pop(key)
+        self.by_out[out].remove(key)
+        return out
+
+
+def _reduce(cubes: list[_MaskCube], n: int) -> _Live:
     """Fold/merge a cube list to a d0/d1 fixpoint; keys are (care, value)."""
-    live: dict[tuple[int, int], int] = {}
+    live = _Live()
     queue = deque(cubes)
     while queue:
         _insert(live, n, queue)
     return live
 
 
-def _insert(live: dict[tuple[int, int], int], n: int, queue: deque) -> None:
+def _insert(live: _Live, n: int, queue: deque) -> None:
     care, val, out = queue.popleft()
     if not out:
         return
     key = (care, val)
     if key in live:
-        folded = live.pop(key) ^ out
+        folded = live.remove(key) ^ out
         if folded:
             queue.append((care, val, folded))
         return
     partner = _d1_partner(live, n, care, val, out)
     if partner is not None:
         pkey, (mcare, mval) = partner
-        live.pop(pkey)
+        live.remove(pkey)
         queue.append((mcare, mval, out))
         return
-    live[key] = out
+    live.add(key, out)
 
 
-def _d1_partner(live, n, care, val, out):
-    """The first (key, merged_key) of `_d1_neighbours` live with outputs `out`, or None."""
-    for pkey, merged in _d1_neighbours(care, val, n):
-        if live.get(pkey) == out:
-            return pkey, merged
-    return None
+def _d1_partner(live: _Live, n, care, val, out):
+    """The first (key, merged_key) of `_d1_neighbours` live with outputs `out`, or None.
+
+    Scans the cubes with outputs `out` for one at distance 1, keeping the
+    lowest differing position and there the one `_d1_neighbours` yields
+    first. A bucket larger than the 2n neighbour keys is probed through
+    those keys instead, which gives the same answer at less cost.
+    """
+    bucket = live.by_out.get(out, ())
+    if len(bucket) > 2 * n:
+        for pkey, merged in _d1_neighbours(care, val, n):
+            if live.get(pkey) == out:
+                return pkey, merged
+        return None
+    bit = 0
+    for pcare, pval in bucket:
+        diff = _diff_mask(care, val, pcare, pval)
+        if diff.bit_count() == 1 and (not bit or diff < bit):
+            bit = diff
+    if not bit:
+        return None
+    x, y = _d1_pair(care, val, bit)
+    return (x, y) if x in bucket else (y, x)
 
 
 def _d1_neighbours(care, val, n):
@@ -217,13 +261,16 @@ def _d1_neighbours(care, val, n):
     1, dash, and each merges with the cube into the other one's literal.
     """
     for i in range(n):
-        bit = 1 << i
-        if care & bit:
-            x, y = (care, val ^ bit), (care ^ bit, val & ~bit)
-        else:
-            x, y = (care | bit, val), (care | bit, val | bit)
+        x, y = _d1_pair(care, val, 1 << i)
         yield x, y
         yield y, x
+
+
+def _d1_pair(care, val, bit):
+    """The two keys at distance 1 at position `bit`, in the order 0, 1, dash."""
+    if care & bit:
+        return (care, val ^ bit), (care ^ bit, val & ~bit)
+    return (care | bit, val), (care | bit, val | bit)
 
 
 def _diff_mask(care_a: int, val_a: int, care_b: int, val_b: int) -> int:
@@ -247,7 +294,7 @@ def _with_literal(care, val, bit, lit):
     return care, val
 
 
-def _reshape_sweep(live: dict[tuple[int, int], int], n: int) -> bool:
+def _reshape_sweep(live: _Live, n: int) -> bool:
     """One sweep of pair rewrites over the current cover.
 
     Rewrites input-distance-1 pairs with differing outputs and
@@ -256,14 +303,27 @@ def _reshape_sweep(live: dict[tuple[int, int], int], n: int) -> bool:
     outright or lets a new cube cancel/merge with the remaining cover.
     Returns True if anything was accepted.
 
-    Partners come from an index over the snapshot: key -> index for the
-    distance-1 neighbours, output -> indices for distance 2. Qualifying
-    depends on snapshot values alone, so visiting each cube's partners in
-    ascending index, with the all-pairs liveness checks, makes the same
-    rewrite attempts in the same order and so yields the same cover.
+    Partners come from the snapshot. For each position, grouping the cubes
+    by their key with that position cleared puts each distance-1 pair there
+    in one group (of at most 3 cubes, one per literal); distance-2 partners
+    come from an output -> indices bucket. Qualifying depends on snapshot
+    values alone, so visiting each cube's partners in ascending index, with
+    the all-pairs liveness checks, makes the same rewrite attempts in the
+    same order and so yields the same cover.
     """
     snapshot = list(live.items())
-    where = {key: i for i, (key, _) in enumerate(snapshot)}
+    # Each key packed into one int, so one mask clears a position in both halves.
+    packed = [care << n | val for (care, val), _ in snapshot]
+    partners: list[list[int]] = [[] for _ in snapshot]
+    for i in range(n):
+        clear = ~(1 << i | 1 << (n + i))
+        groups: dict[int, list[int]] = {}
+        for ib, key in enumerate(packed):
+            group = groups.setdefault(key & clear, [])
+            for ia in group:
+                if snapshot[ia][1] != snapshot[ib][1]:
+                    partners[ia].append(ib)
+            group.append(ib)
     by_out: dict[int, list[int]] = {}
     for i, (_, out) in enumerate(snapshot):
         by_out.setdefault(out, []).append(i)
@@ -271,11 +331,9 @@ def _reshape_sweep(live: dict[tuple[int, int], int], n: int) -> bool:
     for ia, ((care_a, val_a), out_a) in enumerate(snapshot):
         if live.get((care_a, val_a)) != out_a:
             continue
-        partners = [ib for key, _ in _d1_neighbours(care_a, val_a, n)
-                    if (ib := where.get(key, -1)) > ia and snapshot[ib][1] != out_a]
-        partners += [ib for ib in by_out[out_a] if ib > ia and _diff_mask(
+        later = partners[ia] + [ib for ib in by_out[out_a] if ib > ia and _diff_mask(
             care_a, val_a, *snapshot[ib][0]).bit_count() == 2]
-        for ib in sorted(partners):
+        for ib in sorted(later):
             (care_b, val_b), out_b = snapshot[ib]
             if live.get((care_b, val_b)) != out_b:
                 continue
@@ -329,8 +387,8 @@ def _try_rewrite(live, n, a, b, options) -> bool:
     care_a, val_a, out_a = a
     care_b, val_b, out_b = b
     lits_before = (care_a.bit_count() + care_b.bit_count())
-    del live[(care_a, val_a)]
-    del live[(care_b, val_b)]
+    live.remove((care_a, val_a))
+    live.remove((care_b, val_b))
     for c1, c2 in options:
         lits_after = c1[0].bit_count() + c2[0].bit_count()
         if lits_after < lits_before or _has_partner(live, n, c1) or _has_partner(live, n, c2):
@@ -338,8 +396,8 @@ def _try_rewrite(live, n, a, b, options) -> bool:
             while queue:
                 _insert(live, n, queue)
             return True
-    live[(care_a, val_a)] = out_a
-    live[(care_b, val_b)] = out_b
+    live.add((care_a, val_a), out_a)
+    live.add((care_b, val_b), out_b)
     return False
 
 

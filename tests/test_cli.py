@@ -195,6 +195,19 @@ def test_bench_all_bad_is_input_error(tmp_path):
     assert main(["bench", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("case", ["missing", "file", "no-pla"])
+def test_bench_without_pla_directory_is_input_error(tmp_path, capsys, case):
+    table = tmp_path / "one.pla"
+    table.write_text(".i 1\n.o 1\n1 1\n.e\n")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no tables here\n")
+    path = {"missing": tmp_path / "missing", "file": table, "no-pla": empty}[case]
+    assert main(["bench", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_corpus_command(tmp_path):
     out = tmp_path / "out"
     assert main(["corpus", "-o", str(out)]) == 0

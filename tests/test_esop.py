@@ -1,3 +1,4 @@
+import hashlib
 import random
 from unittest import mock
 
@@ -218,6 +219,49 @@ def all_pairs_sweep(live, n):
     return changed
 
 
+def probe_d1_partner(live, n, care, val, out):
+    """Reference for `esop._d1_partner`: probe the 2n keys at distance 1 in order."""
+    for pkey, merged in esop._d1_neighbours(care, val, n):
+        if live.get(pkey) == out:
+            return pkey, merged
+    return None
+
+
+@st.composite
+def live_lookups(draw):
+    """A live cover with n <= 7 inputs and m <= 3 outputs, and cubes to look up.
+
+    With one output bit the equal-output bucket often outgrows the 2n
+    neighbour keys, so both lookup paths run. Half the lookups sit at
+    distance 1 from a live cube, so that partners are found.
+    """
+    n, m = draw(st.integers(1, 7)), draw(st.sampled_from((1, 2, 3)))
+    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)).map(
+        lambda cv: (cv[0], cv[0] & cv[1]))
+    outs = st.integers(1, (1 << m) - 1)
+    size = draw(st.integers(0, min(40, 3 ** n // 2)))
+    live = esop._Live()
+    for key, out in draw(st.dictionaries(masks, outs, min_size=size, max_size=60)).items():
+        live.add(key, out)
+    lookups = []
+    for _ in range(draw(st.integers(1, 8))):
+        if live and draw(st.booleans()):
+            care, val = draw(st.sampled_from(sorted(live)))
+            key, _ = draw(st.sampled_from(list(esop._d1_neighbours(care, val, n))))
+        else:
+            key = draw(masks)
+        lookups.append((*key, draw(outs)))
+    return n, live, lookups
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_lookups())
+def test_indexed_d1_partner_matches_probe(case):
+    n, live, lookups = case
+    for care, val, out in lookups:
+        assert esop._d1_partner(live, n, care, val, out) == probe_d1_partner(live, n, care, val, out)
+
+
 def minimize_all_pairs(cover: EsopCover) -> EsopCover:
     with mock.patch.object(esop, "_reshape_sweep", all_pairs_sweep):
         return minimize(cover)
@@ -246,3 +290,19 @@ def test_indexed_sweep_matches_all_pairs_on_corpus(corpus_funcs):
 def test_minimize_aes_cube_counts(corpus_funcs):
     assert len(minimize(from_pla(corpus_funcs["aes_sbox"])).cubes) == 240
     assert len(minimize(from_pla(corpus_funcs["aes_inv_sbox"])).cubes) == 236
+
+
+def test_minimize_pins_perm10_cover():
+    """The perm10 workload's bijection: 10 bits shuffled by random.Random(1).
+
+    Any change in which rewrites are tried, or in what order, shows here as
+    a different digest, where the benchmark would show only a gate count.
+    """
+    table = list(range(1 << 10))
+    random.Random(1).shuffle(table)
+    f = PlaFunction(n=10, m=10, cubes=tuple(
+        Cube(format(x, "010b"), format(y, "010b")) for x, y in enumerate(table)))
+    result = minimize(from_pla(f))
+    assert (cost(result).cube_count, cost(result).literal_count) == (990, 7355)
+    assert hashlib.sha256(write_esop(result).encode()).hexdigest() == (
+        "e590a136a8a53ab6dd65c5e67b96fa63f97b1d632c852187824fd0b7c428f850")
