@@ -28,11 +28,12 @@ MAX_SWEEPS times.
 Partners are found by lookup, never by testing every pair. The live cover
 keeps an output index (output -> keys) beside its (care, value) -> output
 dict, so a merge partner for a new cube is looked for among the cubes with
-its output alone. A sweep groups its snapshot once per input position by
-the cube with that position cleared: the cubes in one group are exactly the
-pairs at distance 1 there. Distance-2 partners come from the snapshot's
-cubes with equal outputs. Each cube's partners are visited in all-pairs
-order, so a sweep returns the cover an all-pairs scan returns.
+its output alone, or, when those are many, among the 2n keys at distance 1.
+A sweep groups its snapshot once per input position by the cube with that
+position cleared: the cubes in one group are exactly the pairs at distance
+1 there. Distance-2 partners come from the snapshot's cubes with equal
+outputs. Each cube's partners are visited in all-pairs order, so a sweep
+returns the cover an all-pairs scan returns.
 """
 
 from __future__ import annotations
@@ -234,11 +235,14 @@ def _d1_partner(live: _Live, n, care, val, out):
 
     Scans the cubes with outputs `out` for one at distance 1, keeping the
     lowest differing position and there the one `_d1_neighbours` yields
-    first. A bucket larger than the 2n neighbour keys is probed through
-    those keys instead, which gives the same answer at less cost.
+    first. A bucket of more than 4n cubes is looked up through the 2n
+    neighbour keys instead, with the same answer: timed per lookup that
+    finds no partner, the scan costs what the 2n probes cost at about 4n
+    cubes. Single-output covers reach such buckets; on one output bit of
+    perm10 the probe halves `minimize`.
     """
     bucket = live.by_out.get(out, ())
-    if len(bucket) > 2 * n:
+    if len(bucket) > 4 * n:
         for pkey, merged in _d1_neighbours(care, val, n):
             if live.get(pkey) == out:
                 return pkey, merged

@@ -231,8 +231,8 @@ def probe_d1_partner(live, n, care, val, out):
 def live_lookups(draw):
     """A live cover with n <= 7 inputs and m <= 3 outputs, and cubes to look up.
 
-    With one output bit the equal-output bucket often outgrows the 2n
-    neighbour keys, so both lookup paths run. Half the lookups sit at
+    With one output bit the equal-output bucket often holds more than 4n
+    cubes, so both lookup paths run. Half the lookups sit at
     distance 1 from a live cube, so that partners are found.
     """
     n, m = draw(st.integers(1, 7)), draw(st.sampled_from((1, 2, 3)))
