@@ -6,7 +6,7 @@ and reverse the gate order to obtain the inverse function's circuit.
 Preimages then fall out of backward deduction over the reversed structure.
 """
 
-from .analyze import AvalancheReport, BenchRecord, avalanche_check, bench_run, collision_scan
+from .analyze import AvalancheReport, avalanche_check, collision_scan
 from .circuit import Circuit, Gate, read_circuit_json, write_circuit_json
 from .errors import PlaLexicalError, PlaParseError, PlaStructureError, ResourceLimitError
 from .esop import CoverCost, EsopCover, cost, evaluate_esop, from_pla, minimize

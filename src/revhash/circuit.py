@@ -10,8 +10,7 @@ returns a new one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -19,6 +18,9 @@ class Gate:
     target: int
     positive_controls: frozenset[int] = frozenset()
     negative_controls: frozenset[int] = frozenset()
+    # Bit k set iff line k is a positive (negative) control.
+    positive_mask: int = field(init=False, repr=False, compare=False)
+    negative_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Allow construction from any iterable.
@@ -31,20 +33,8 @@ class Gate:
             raise ValueError(f"target line {self.target} is also a control")
         if pos & neg:
             raise ValueError("a line cannot be both a positive and a negative control")
-
-    @cached_property
-    def positive_mask(self) -> int:
-        mask = 0
-        for line in self.positive_controls:
-            mask |= 1 << line
-        return mask
-
-    @cached_property
-    def negative_mask(self) -> int:
-        mask = 0
-        for line in self.negative_controls:
-            mask |= 1 << line
-        return mask
+        object.__setattr__(self, "positive_mask", sum(1 << line for line in pos))
+        object.__setattr__(self, "negative_mask", sum(1 << line for line in neg))
 
     @property
     def control_count(self) -> int:
@@ -62,10 +52,6 @@ def NOT(target: int) -> Gate:
 
 def CNOT(control: int, target: int) -> Gate:
     return Gate(target=target, positive_controls=frozenset({control}))
-
-
-def toffoli(controls, target: int) -> Gate:
-    return Gate(target=target, positive_controls=frozenset(controls))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analyze, corpus, esop, invert, sim, synth
 from .circuit import Circuit, read_circuit_json, write_circuit_json
@@ -166,36 +168,53 @@ def _load_circuit(path: Path) -> Circuit:
     raise ValueError(f"cannot read a circuit from {path} (want .real or .json)")
 
 
-def _pipeline(path: Path, minimize: bool):
-    f = esop.read_cover(path.read_text())
+class _Compiled(NamedTuple):
+    cover: esop.EsopCover
+    circuit: Circuit
+    minimized: bool
+    seconds: dict[str, float]
+
+
+def _pipeline(f, name: str, minimize: bool) -> _Compiled:
+    """The one compile path: the cover `esop.read_cover` returned, as an XOR
+    cover, minimized when asked, then synthesized; minimize and synthesize are timed."""
     cover = esop.from_pla(f)
+    t0 = time.perf_counter()
     if minimize:
         cover = esop.minimize(cover)
-    circuit = synth.synthesize(cover, name=path.stem)
-    return f, cover, circuit
+    t1 = time.perf_counter()
+    circuit = synth.synthesize(cover, name=name)
+    return _Compiled(cover, circuit, minimize,
+                     {"minimize": t1 - t0, "synthesize": time.perf_counter() - t1})
+
+
+def _report(run: _Compiled) -> dict:
+    """The `synth --format json` document of one pipeline run."""
+    cc = esop.cost(run.cover)
+    return {
+        "name": run.circuit.name,
+        "inputs": run.cover.n,
+        "outputs": run.cover.m,
+        "minimized": run.minimized,
+        "cover": {"cubes": cc.cube_count, "literals": cc.literal_count, "output_ones": cc.output_ones},
+        "gates": synth.stats(run.circuit).to_json_dict(),
+        "seconds": run.seconds,
+    }
 
 
 def cmd_synth(args) -> int:
-    f, cover, circuit = _pipeline(args.pla, not args.no_minimize)
-    st = synth.stats(circuit)
-    cc = esop.cost(cover)
+    run = _pipeline(esop.read_cover(args.pla.read_text()), args.pla.stem, not args.no_minimize)
     if args.output:
-        args.output.write_text(write_real(circuit))
+        args.output.write_text(write_real(run.circuit))
     if args.json_circuit:
-        args.json_circuit.write_text(write_circuit_json(circuit))
-    doc = {
-        "name": circuit.name,
-        "inputs": f.n,
-        "outputs": f.m,
-        "minimized": not args.no_minimize,
-        "cover": {"cubes": cc.cube_count, "literals": cc.literal_count, "output_ones": cc.output_ones},
-        "gates": st.to_json_dict(),
-    }
+        args.json_circuit.write_text(write_circuit_json(run.circuit))
+    doc = _report(run)
+    cover, gates = doc["cover"], doc["gates"]
     text = (
-        f"{circuit.name}: {f.n} inputs, {f.m} outputs\n"
-        f"cover: {cc.cube_count} cubes, {cc.literal_count} literals\n"
-        f"gates: {st.total} total after NOT expansion/cleanup "
-        f"(by controls: {st.by_controls})"
+        f"{doc['name']}: {doc['inputs']} inputs, {doc['outputs']} outputs\n"
+        f"cover: {cover['cubes']} cubes, {cover['literals']} literals\n"
+        f"gates: {gates['total']} total after NOT expansion/cleanup "
+        f"(by controls: {gates['by_controls']})"
     )
     _emit(args, doc, text)
     return EXIT_OK
@@ -214,7 +233,8 @@ def cmd_reverse(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.path.suffix == ".pla":
-        f, _, circuit = _pipeline(args.path, True)
+        # Minimizing cannot change the outputs, so the simulated circuit skips it.
+        circuit = _pipeline(esop.read_cover(args.path.read_text()), args.path.stem, False).circuit
     else:
         circuit = _load_circuit(args.path)
     x = args.input
@@ -235,7 +255,8 @@ def cmd_invert(args) -> int:
         result = invert.preimages_bruteforce(fn, y, limit=limit)
     else:
         if args.path.suffix == ".pla":
-            f, _, circuit = _pipeline(args.path, True)
+            f = esop.read_cover(args.path.read_text())
+            circuit = _pipeline(f, args.path.stem, True).circuit
         else:
             f = circuit = _load_circuit(args.path)
         if args.first:
@@ -260,7 +281,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f, cover, circuit = _pipeline(args.pla, True)
+    f = esop.read_cover(args.pla.read_text())
+    circuit = _pipeline(f, args.pla.stem, True).circuit
     reversed_circuit = synth.reverse(circuit)
     forward = circuit
     if args.mutate_drop_gate is not None:
@@ -325,14 +347,35 @@ def cmd_bench(args) -> int:
     paths = sorted(args.corpus.glob("*.pla"))
     if not paths:
         raise ValueError(f"no .pla files in {args.corpus}")
-    records, table = analyze.bench_run(paths)
+    records = [_bench_record(path) for path in paths]
     if args.json_lines:
-        args.json_lines.write_text(analyze.bench_json_lines(records))
-    doc = {"records": [r.to_json_dict() for r in records]}
-    _emit(args, doc, table)
-    if all(r.error for r in records):
-        return EXIT_INPUT
-    return EXIT_OK
+        args.json_lines.write_text("".join(json.dumps(r) + "\n" for r in records))
+    _emit(args, {"records": records}, "\n".join(_bench_line(r) for r in records))
+    return EXIT_INPUT if all("error" in r for r in records) else EXIT_OK
+
+
+def _bench_record(path: Path) -> dict:
+    """The `synth` documents of one .pla with and without minimization, or its error."""
+    try:
+        f = esop.read_cover(path.read_text())
+        return {"name": path.stem,
+                "minimized": _report(_pipeline(f, path.stem, True)),
+                "unminimized": _report(_pipeline(f, path.stem, False))}
+    except (OSError, ValueError, ResourceLimitError) as exc:
+        return {"name": path.stem, "error": str(exc)}
+
+
+def _bench_line(record: dict) -> str:
+    if "error" in record:
+        return f"{record['name']}: error: {record['error']}"
+    done, raw = record["minimized"], record["unminimized"]
+    return (
+        f"{record['name']}: {done['inputs']} in, {done['outputs']} out; "
+        f"cubes {raw['cover']['cubes']} -> {done['cover']['cubes']} "
+        f"(minimize {done['seconds']['minimize']:.4f} s); "
+        f"gates {done['gates']['total']} minimized, {raw['gates']['total']} not "
+        f"(synthesize {done['seconds']['synthesize']:.4f} s, {raw['seconds']['synthesize']:.4f} s)"
+    )
 
 
 def cmd_corpus(args) -> int:

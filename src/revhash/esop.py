@@ -101,7 +101,7 @@ def evaluate_esop(c: EsopCover, x: str) -> str:
     return int_to_bits(acc, c.m)
 
 
-def from_pla(f: PlaFunction | EsopCover, budget: int = DEFAULT_EXPANSION_BUDGET) -> EsopCover:
+def from_pla(f: PlaFunction | EsopCover) -> EsopCover:
     """Convert an OR-semantics cover to an equivalent XOR cover.
 
     Builds the disjoint minterm cover (accumulating overlapping rows with
@@ -114,8 +114,9 @@ def from_pla(f: PlaFunction | EsopCover, budget: int = DEFAULT_EXPANSION_BUDGET)
     steps = 0
     for cu in f.cubes:
         steps += 1 << (f.n - cu.num_literals)
-        if steps > budget:
-            raise ResourceLimitError(f"disjoint expansion needs {steps}+ cubes, budget is {budget}")
+        if steps > DEFAULT_EXPANSION_BUDGET:
+            raise ResourceLimitError(
+                f"disjoint expansion needs {steps}+ cubes, budget is {DEFAULT_EXPANSION_BUDGET}")
 
     acc: dict[int, int] = {}
     full = (1 << f.n) - 1

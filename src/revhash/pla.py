@@ -14,13 +14,13 @@ such a vector is packed into an int, bit i of the int is character i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import PlaLexicalError, PlaParseError, PlaStructureError
 
 _INPUT_CHARS = frozenset("01-")
 _OUTPUT_CHARS = frozenset("01-~")
+_CARE = str.maketrans("01-", "110")
 
 
 @dataclass(frozen=True)
@@ -29,40 +29,18 @@ class Cube:
 
     inputs: str
     outputs: str
+    # Bit i set iff input i is not '-' (care), input i is '1' (value), output bit i is 1.
+    care_mask: int = field(init=False, repr=False, compare=False)
+    value_mask: int = field(init=False, repr=False, compare=False)
+    output_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = set(self.inputs) - _INPUT_CHARS
         if bad:
             raise ValueError(f"invalid input literal(s) {sorted(bad)} in {self.inputs!r}")
-        bad = set(self.outputs) - frozenset("01")
-        if bad:
-            raise ValueError(f"invalid output bit(s) {sorted(bad)} in {self.outputs!r}")
-
-    @cached_property
-    def care_mask(self) -> int:
-        """Bit i set iff input position i is not a don't-care."""
-        mask = 0
-        for i, ch in enumerate(self.inputs):
-            if ch != "-":
-                mask |= 1 << i
-        return mask
-
-    @cached_property
-    def value_mask(self) -> int:
-        """Bit i set iff input position i is the literal '1'."""
-        mask = 0
-        for i, ch in enumerate(self.inputs):
-            if ch == "1":
-                mask |= 1 << i
-        return mask
-
-    @cached_property
-    def output_mask(self) -> int:
-        mask = 0
-        for j, ch in enumerate(self.outputs):
-            if ch == "1":
-                mask |= 1 << j
-        return mask
+        object.__setattr__(self, "care_mask", bits_to_int(self.inputs.translate(_CARE)))
+        object.__setattr__(self, "value_mask", bits_to_int(self.inputs.replace("-", "0")))
+        object.__setattr__(self, "output_mask", bits_to_int(self.outputs))
 
     @property
     def num_literals(self) -> int:
@@ -108,18 +86,14 @@ def check_cubes(n: int, m: int, cubes) -> None:
 
 def bits_to_int(bits: str) -> int:
     """Pack a '0'/'1' string; character i becomes bit i of the result."""
-    value = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            value |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"not a bit vector: {bits!r}")
-    return value
+    if bits.strip("01"):  # int() would also take '_', spaces and a sign
+        raise ValueError(f"not a bit vector: {bits!r}")
+    return int(bits[::-1] or "0", 2)
 
 
 def int_to_bits(value: int, width: int) -> str:
-    """Inverse of bits_to_int."""
-    return "".join("1" if (value >> i) & 1 else "0" for i in range(width))
+    """Inverse of bits_to_int: the low `width` bits, bit i as character i."""
+    return format(value, f"0{width}b")[:-width - 1:-1]
 
 
 def parse_pla(text: str) -> PlaFunction:

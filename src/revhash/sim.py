@@ -209,7 +209,7 @@ def verify_identity(
     fire words depend on R alone, so a state fails iff its R part fails
     with every other line 0: R's lines must return to their start words
     and every other line must end at 0. The counterexample is the lowest
-    failing state. Sampled mode draws `samples` seeded pseudo-random states.
+    failing state. Sampled mode draws `samples` >= 1 seeded pseudo-random states.
     """
     if forward.width != reversed_circuit.width:
         raise ValueError("circuit widths differ")
@@ -225,6 +225,8 @@ def verify_identity(
         for line, pattern in zip(read, _line_patterns(len(read), width_limit)):
             start[line] = pattern
         count, seed, swept = 1 << width, None, 1 << len(read)
+    elif samples < 1:
+        raise ValueError(f"a sampled check needs samples >= 1, got {samples}")
     else:
         rng = random.Random(seed)
         states = [rng.getrandbits(width) for _ in range(samples)]

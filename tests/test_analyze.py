@@ -2,14 +2,7 @@ import random
 
 import pytest
 
-from revhash.analyze import (
-    avalanche_check,
-    bench_function,
-    bench_json_lines,
-    bench_run,
-    collision_scan,
-    render_bench_table,
-)
+from revhash.analyze import avalanche_check, collision_scan
 from revhash.errors import ResourceLimitError
 from revhash.pla import PlaFunction
 
@@ -104,53 +97,3 @@ def test_collision_group_sizes_sum():
         f = random_truth_table(rng, rng.randint(1, 4), rng.randint(1, 3))
         report = collision_scan(f)
         assert sum(len(xs) for xs in report.buckets.values()) == 1 << f.n
-
-
-def test_bench_function_record(small_corpus):
-    record = bench_function("aes4_sbox", small_corpus["aes4_sbox"])
-    assert record.n == 4 and record.m == 4
-    assert record.cube_count_after <= record.cube_count_before
-    assert record.gates_minimized <= record.gates_unminimized
-    assert record.minimize_seconds >= 0
-    assert record.error is None
-
-
-def test_bench_run_batch_resilient(tmp_path):
-    corpus.write_corpus(tmp_path)
-    (tmp_path / "broken.pla").write_text(".i 2\nnot a pla\n")
-    keep = ["aes4_sbox.pla", "present_sbox.pla", "broken.pla"]
-    paths = sorted(p for p in tmp_path.glob("*.pla") if p.name in keep)
-    records, table = bench_run(paths)
-    assert len(records) == 3
-    errors = [r for r in records if r.error]
-    assert len(errors) == 1 and errors[0].name == "broken"
-    assert "error" in table
-    assert "aes4_sbox" in table
-
-
-def test_bench_table_renders_all_rows(small_corpus):
-    records = [bench_function(name, f) for name, f in small_corpus.items()]
-    table = render_bench_table(records)
-    for name in small_corpus:
-        assert name in table
-    lines = bench_json_lines(records).strip().splitlines()
-    assert len(lines) == len(records)
-    import json
-    assert json.loads(lines[0])["name"] in small_corpus
-
-
-def test_bench_run_empty():
-    records, table = bench_run([])
-    assert records == []
-    assert "Function" in table
-
-
-def test_bench_run_full_corpus(tmp_path):
-    paths = corpus.write_corpus(tmp_path)
-    records, table = bench_run(paths)
-    assert len(records) == 13
-    by_name = {r.name: r for r in records}
-    assert all(r.error is None for r in records)
-    assert all(r.gates_minimized <= r.gates_unminimized for r in records)
-    assert (by_name["des_sbox3"].n, by_name["des_sbox3"].m) == (6, 4)
-    assert table.count("\n") >= 14  # header, rule, 13 rows

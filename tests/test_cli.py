@@ -5,9 +5,9 @@ import pytest
 from revhash.circuit import CNOT, Circuit, write_circuit_json
 from revhash.cli import main
 from revhash.esop import EsopCover, evaluate_esop, write_esop
-from revhash.pla import Cube, int_to_bits
+from revhash.pla import Cube, int_to_bits, write_pla
 
-from revhash import corpus, synth
+from revhash import corpus, esop, synth
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,16 @@ def test_simulate_demo(corpus_dir, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["output"] == "1001"
+
+
+def test_simulate_runs_no_minimize(corpus_dir, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate must not minimize")
+
+    monkeypatch.setattr(esop, "minimize", refuse)
+    assert main(["simulate", str(corpus_dir / "demo_hash4.pla"), "--input", "0110",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == "1001"
 
 
 def test_simulate_negative_line_is_input_error(tmp_path, capsys):
@@ -139,6 +149,14 @@ def test_verify_pass(corpus_dir):
     assert main(["verify", str(corpus_dir / "des_sbox1.pla")]) == 0
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_sampled_needs_a_sample(corpus_dir, capsys, samples):
+    assert main(["verify", str(corpus_dir / "demo_hash4.pla"), "--samples", samples,
+                 "--exhaustive-limit", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples" in err
+
+
 def test_verify_mutation_fails(corpus_dir):
     assert main(["verify", str(corpus_dir / "aes4_sbox.pla"), "--mutate-drop-gate", "0"]) == 3
 
@@ -177,15 +195,56 @@ def test_bench_directory(corpus_dir, tmp_path, capsys):
     assert len(jl.read_text().strip().splitlines()) == 2
 
 
+def test_bench_record_contents(corpus_dir, tmp_path, capsys):
+    (tmp_path / "aes4_sbox.pla").write_text((corpus_dir / "aes4_sbox.pla").read_text())
+    assert main(["bench", str(tmp_path), "--format", "json"]) == 0
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    done, raw = record["minimized"], record["unminimized"]
+    assert record["name"] == "aes4_sbox" and "error" not in record
+    assert (done["inputs"], done["outputs"], done["minimized"], raw["minimized"]) == (4, 4, True, False)
+    assert done["cover"]["cubes"] <= raw["cover"]["cubes"]
+    assert done["gates"]["total"] <= raw["gates"]["total"] == 60
+    assert done["seconds"]["minimize"] >= 0 and raw["seconds"]["synthesize"] >= 0
+
+
 def test_bench_tolerates_bad_file(corpus_dir, tmp_path, capsys):
     mixed = tmp_path / "mixed"
     mixed.mkdir()
-    (mixed / "good.pla").write_text((corpus_dir / "aes4_sbox.pla").read_text())
-    (mixed / "bad.pla").write_text("garbage\n")
+    for name in ("aes4_sbox.pla", "present_sbox.pla"):
+        (mixed / name).write_text((corpus_dir / name).read_text())
+    (mixed / "broken.pla").write_text(".i 2\nnot a pla\n")
     assert main(["bench", str(mixed), "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    errors = [r for r in payload["records"] if r["error"]]
-    assert len(errors) == 1
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)["records"]
+    assert len(records) == 3
+    assert [r["name"] for r in records if "error" in r] == ["broken"]
+    assert "broken: error: " in captured.err and "aes4_sbox: " in captured.err
+
+
+def test_bench_text_names_every_file(small_corpus, tmp_path, capsys):
+    for name, f in small_corpus.items():
+        (tmp_path / f"{name}.pla").write_text(write_pla(f))
+    assert main(["bench", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(small_corpus)
+
+
+def test_bench_records_match_synth_on_corpus(corpus_dir, capsys):
+    def without_seconds(doc):
+        return {k: v for k, v in doc.items() if k != "seconds"}
+
+    assert main(["bench", str(corpus_dir), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert len(records) == 14 and all("error" not in r for r in records)
+    for record in records:
+        path = str(corpus_dir / f"{record['name']}.pla")
+        for key, flags in (("minimized", []), ("unminimized", ["--no-minimize"])):
+            assert main(["synth", path, *flags, "--format", "json"]) == 0
+            synth_doc = json.loads(capsys.readouterr().out)
+            assert without_seconds(record[key]) == without_seconds(synth_doc), (record["name"], key)
+        assert record["minimized"]["gates"]["total"] <= record["unminimized"]["gates"]["total"]
+    by_name = {r["name"]: r["minimized"] for r in records}
+    assert (by_name["des_sbox3"]["inputs"], by_name["des_sbox3"]["outputs"]) == (6, 4)
 
 
 def test_bench_all_bad_is_input_error(tmp_path):
@@ -308,8 +367,9 @@ def test_bench_reads_esop_marker(tmp_path, capsys):
     (tmp_path / "nand.pla").write_text(write_esop(NAND_ESOP))
     assert main(["bench", str(tmp_path), "--format", "json"]) == 0
     [record] = json.loads(capsys.readouterr().out)["records"]
-    assert (record["cube_count_before"], record["cube_count_after"]) == (2, 2)
-    assert (record["gates_minimized"], record["gates_unminimized"]) == (2, 2)
+    done, raw = record["minimized"], record["unminimized"]
+    assert (raw["cover"]["cubes"], done["cover"]["cubes"]) == (2, 2)
+    assert (done["gates"]["total"], raw["gates"]["total"]) == (2, 2)
     assert main(["synth", str(tmp_path / "nand.pla"), "--format", "json"]) == 0
     synth_doc = json.loads(capsys.readouterr().out)
     assert (synth_doc["cover"]["cubes"], synth_doc["gates"]["total"]) == (2, 2)

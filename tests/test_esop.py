@@ -69,10 +69,11 @@ def test_from_pla_overlap_is_or():
         assert evaluate_esop(cover, x) == evaluate_pla(f, x)
 
 
-def test_from_pla_budget():
+def test_from_pla_budget(monkeypatch):
+    monkeypatch.setattr(esop, "DEFAULT_EXPANSION_BUDGET", 1000)
     f = PlaFunction(n=20, m=1, cubes=(Cube("-" * 20, "1"),))
     with pytest.raises(ResourceLimitError):
-        from_pla(f, budget=1000)
+        from_pla(f)
 
 
 def test_duplicate_cubes_cancel_at_construction():

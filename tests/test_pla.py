@@ -153,6 +153,10 @@ def test_bits_packing_roundtrip():
     assert int_to_bits(6, 4) == "0110"
     for v in range(32):
         assert bits_to_int(int_to_bits(v, 5)) == v
+    assert bits_to_int("") == 0 and int_to_bits(0, 0) == ""
+    for bad in ("2", " 1", "1_0", "+1"):  # int() would accept the last three
+        with pytest.raises(ValueError):
+            bits_to_int(bad)
 
 
 def test_disjoint_cover_semantics_agree():

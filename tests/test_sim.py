@@ -145,6 +145,13 @@ def test_verify_identity_sampled():
     assert report.passed and report.states_checked == 500 and report.seed == 42
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_identity_sampled_needs_a_sample(samples):
+    c = demo_circuit()
+    with pytest.raises(ValueError, match="samples"):
+        verify_identity(c, reverse(c), mode=VerifyMode.SAMPLED, samples=samples)
+
+
 def test_verify_identity_sampled_detects_mutation():
     c = demo_circuit()
     mutated = c.with_gates(c.gates[1:])
