@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from revhash.analyze import avalanche_check, collision_scan
+from revhash.cli import main
 from revhash.errors import ResourceLimitError
 from revhash.pla import PlaFunction
 
@@ -97,3 +99,18 @@ def test_collision_group_sizes_sum():
         f = random_truth_table(rng, rng.randint(1, 4), rng.randint(1, 3))
         report = collision_scan(f)
         assert sum(len(xs) for xs in report.buckets.values()) == 1 << f.n
+
+
+def test_bench_run_batch_resilient(tmp_path, capsys):
+    corpus.write_corpus(tmp_path)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name in ("aes4_sbox.pla", "present_sbox.pla"):
+        (batch / name).write_text((tmp_path / name).read_text())
+    (batch / "broken.pla").write_text(".i 2\nnot a pla\n")
+    assert main(["bench", str(batch), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)["records"]
+    assert len(records) == 3
+    assert [r["name"] for r in records if "error" in r] == ["broken"]
+    assert "broken: error: " in captured.err and "aes4_sbox: " in captured.err
