@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="find preimages of a target output")
     p.add_argument("path", type=Path, help=".pla, .real, or circuit .json")
     p.add_argument("--target", required=True, help="output bit vector, e.g. 1001")
-    p.add_argument("--brute", action="store_true", help="use brute force instead of deduction")
-    p.add_argument("--first", action="store_true", help="stop at the first preimage")
+    method = p.add_mutually_exclusive_group()
+    method.add_argument("--brute", action="store_true", help="use brute force instead of deduction")
+    method.add_argument("--first", action="store_true", help="stop at the first preimage")
     _limit_flag(p)
     _format_flag(p)
     p.set_defaults(func=cmd_invert)
@@ -227,7 +228,9 @@ def cmd_reverse(args) -> int:
         args.output.write_text(write_circuit_json(reversed_circuit))
     else:
         args.output.write_text(write_real(reversed_circuit))
-    print(f"wrote {args.output} ({len(reversed_circuit.gates)} gates)", file=sys.stderr)
+    st = synth.stats(reversed_circuit)
+    print(f"wrote {args.output} ({st.total} gates after NOT expansion/cleanup, {st.raw_gates} raw)",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -87,8 +87,8 @@ def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageR
     n = fn.num_inputs if isinstance(fn, Circuit) else fn.n
     if len(y) != len(words):
         raise ValueError(f"target length {len(y)} != m={len(words)}")
-    mask = (1 << (1 << n)) - 1
-    bad, _ = _mismatch(words, [mask if ch == "1" else 0 for ch in y])
+    mask, want = (1 << (1 << n)) - 1, bits_to_int(y)
+    bad, _ = _mismatch(words, [mask if want >> j & 1 else 0 for j in range(len(y))])
     hits = mask ^ bad
     found = []
     while hits:

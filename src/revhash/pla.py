@@ -47,12 +47,6 @@ class Cube:
         """Number of non-don't-care input positions."""
         return self.care_mask.bit_count()
 
-    def matches(self, x: str) -> bool:
-        """True if input vector x satisfies every non-dash literal."""
-        if len(x) != len(self.inputs):
-            raise ValueError(f"input length {len(x)} != cube arity {len(self.inputs)}")
-        return (bits_to_int(x) & self.care_mask) == self.value_mask
-
 
 @dataclass(frozen=True)
 class PlaFunction:

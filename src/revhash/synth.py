@@ -116,11 +116,12 @@ def stats(c: Circuit) -> CircuitStats:
 def write_real(c: Circuit) -> str:
     """Serialize to RevLib-style .real text.
 
-    Negative controls are expanded to NOT sandwiches first, since the gate
-    lines (`t<k> <controls...> <target>`) carry positive controls only. A
-    leading comment records the input/output split so the file round-trips.
+    The gate lines (`t<k> <controls...> <target>`) carry positive controls
+    only, so the file holds remove_superfluous_nots(expand_negative_controls(c)):
+    the circuit whose gates `stats` counts. A leading comment records the
+    input/output split so the file round-trips.
     """
-    expanded = expand_negative_controls(c)
+    cleaned = remove_superfluous_nots(expand_negative_controls(c))
     names = [line_name(c, line) for line in range(c.width)]
     lines = [f"# revhash inputs={c.num_inputs} outputs={c.num_outputs}"]
     if c.name:
@@ -129,7 +130,7 @@ def write_real(c: Circuit) -> str:
     lines.append(f".numvars {c.width}")
     lines.append(".variables " + " ".join(names))
     lines.append(".begin")
-    for g in expanded.gates:
+    for g in cleaned.gates:
         involved = sorted(g.positive_controls) + [g.target]
         lines.append(f"t{len(involved)} " + " ".join(names[i] for i in involved))
     lines.append(".end")
@@ -186,40 +187,26 @@ def read_real(text: str) -> Circuit:
     if num_inputs + num_outputs != len(names):
         raise ValueError("role comment does not match .variables count")
     return Circuit(num_inputs=num_inputs, num_outputs=num_outputs,
-                   gates=_fold_not_sandwiches(gates), name=name)
+                   gates=_fold_input_nots(gates, num_inputs), name=name)
 
 
-def _fold_not_sandwiches(gates: list[Gate]) -> tuple[Gate, ...]:
-    """Collapse NOT/gate/NOT sandwiches back into negative controls.
+def _fold_input_nots(gates: list[Gate], num_inputs: int) -> list[Gate]:
+    """Fold NOTs on input lines into negative controls of the gates between.
 
-    Inverse of the expansion write_real applies; a NOT run that is not part
-    of a full sandwich (for instance a real output-line NOT) is kept as is.
+    A NOT on line L commutes past a gate that targets L, and past a gate
+    controlled by L once that control's polarity flips, so the result computes
+    the same function. A line still flipped at the end gets its NOT back there.
+    For a circuit write_real cleaned, whose input lines are never targets,
+    this gives back the gates it was written from.
     """
     out: list[Gate] = []
-    i = 0
-    while i < len(gates):
-        g = gates[i]
-        if g.control_count == 0:
-            run: list[int] = []
-            j = i
-            while j < len(gates) and gates[j].control_count == 0 and gates[j].target not in run:
-                run.append(gates[j].target)
-                j += 1
-            # Look for: controlled gate over the run, then the same NOTs again.
-            if (
-                j < len(gates)
-                and gates[j].control_count > 0
-                and set(run) <= gates[j].positive_controls
-                and gates[j + 1 : j + 1 + len(run)] == gates[i:j]
-            ):
-                core = gates[j]
-                out.append(Gate(
-                    target=core.target,
-                    positive_controls=core.positive_controls - frozenset(run),
-                    negative_controls=frozenset(run),
-                ))
-                i = j + 1 + len(run)
-                continue
-        out.append(g)
-        i += 1
-    return tuple(out)
+    flipped = 0  # bit L set iff an odd number of NOTs on input line L so far
+    for g in gates:
+        if g.control_count == 0 and g.target < num_inputs:
+            flipped ^= 1 << g.target
+            continue
+        neg = frozenset(line for line in g.positive_controls if flipped >> line & 1)
+        out.append(Gate(target=g.target, positive_controls=g.positive_controls - neg,
+                        negative_controls=neg))
+    out.extend(Gate(target=line) for line in range(num_inputs) if flipped >> line & 1)
+    return out

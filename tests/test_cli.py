@@ -136,6 +136,12 @@ def test_invert_arity_mismatch(corpus_dir):
     assert main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "10011"]) == 1
 
 
+def test_invert_brute_rejects_non_bit_target(corpus_dir, capsys):
+    assert main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "1x01", "--brute"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: not a bit vector: '1x01'\n"
+
+
 def test_invert_from_real_file(corpus_dir, tmp_path, capsys):
     real = tmp_path / "demo.real"
     assert main(["synth", str(corpus_dir / "demo_hash4.pla"), "-o", str(real)]) == 0
@@ -168,8 +174,12 @@ def test_verify_mutation_bad_index(corpus_dir):
 def test_reverse_roundtrip(corpus_dir, tmp_path, capsys):
     real = tmp_path / "fwd.real"
     rev = tmp_path / "rev.real"
-    assert main(["synth", str(corpus_dir / "demo_hash4.pla"), "-o", str(real)]) == 0
+    assert main(["synth", str(corpus_dir / "aes4_sbox.pla"), "-o", str(real), "--format", "json"]) == 0
+    gates = json.loads(capsys.readouterr().out)["gates"]
     assert main(["reverse", str(real), "-o", str(rev)]) == 0
+    assert capsys.readouterr().err == (f"wrote {rev} ({gates['total']} gates after NOT "
+                                       f"expansion/cleanup, {gates['raw_gates']} raw)\n")
+    assert gates["total"] != gates["raw_gates"]
     from revhash.synth import read_real
     fwd_gates = read_real(real.read_text()).gates
     rev_gates = read_real(rev.read_text()).gates
@@ -382,8 +392,9 @@ def test_bench_reads_esop_marker(tmp_path, capsys):
     ["bench", "dir", "--exhaustive-limit", "3"],
     ["verify", "x.pla", "--samples", "many"],
     ["analyze", "x.pla", "--format", "xml"],
+    ["invert", "x.pla", "--target", "1", "--brute", "--first"],
 ], ids=["missing-file", "unknown-command", "effort", "no-crosscheck", "synth-limit",
-        "simulate-limit", "bench-limit", "bad-int", "bad-choice"])
+        "simulate-limit", "bench-limit", "bad-int", "bad-choice", "brute-first"])
 def test_usage_error_exits_1_with_usage_line(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err

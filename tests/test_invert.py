@@ -70,8 +70,12 @@ def test_bruteforce_accepts_cover_and_circuit():
 
 
 def test_bruteforce_rejects_bad_target():
+    f = parse_pla(AND_PLA)
     with pytest.raises(ValueError):
-        preimages_bruteforce(parse_pla(AND_PLA), "11")
+        preimages_bruteforce(f, "11")
+    for fn in (f, from_pla(f), synthesize(from_pla(f))):
+        with pytest.raises(ValueError, match="not a bit vector"):
+            preimages_bruteforce(fn, "x")
     with pytest.raises(TypeError):
         preimages_bruteforce("0110", "1")
 

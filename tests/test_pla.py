@@ -22,7 +22,8 @@ AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 def test_cube_literal_view():
     c = Cube("01-", "1")
     assert c.num_literals == 2
-    assert c.matches("010") and c.matches("011") and not c.matches("110")
+    # Character i is bit i: positions 0 and 1 are cared for, position 1 reads 1.
+    assert (c.care_mask, c.value_mask) == (0b011, 0b010)
 
 
 def test_function_rejects_nonconforming_cube():
