@@ -9,11 +9,13 @@ strategy, and the two agree bit for bit.
 
 Every exhaustive check in the package runs on one kernel, `forward_words`:
 it evaluates a `.pla` cover (rows OR-ed), an XOR cover or a circuit over
-all 2^n inputs and returns one such word per output. One limit bounds every
-sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number of states a sweep may
-cover, and one check, `_check_limit`, raises `ResourceLimitError` for it:
-in `_line_patterns`, which makes every sweep's start words, and on the
-width of an identity check.
+all 2^n inputs and returns one such word per output. Every word a sweep
+starts from is built by `_cube_word`, the set of states s with
+s & care == value, by doubling one state once per don't-care position: a
+cover row's match word, and a line's start word (the cube of that line
+at 1). One limit bounds every sweep: `EXHAUSTIVE_LIMIT` is the log2 of the
+number of states a sweep may cover, and one check, `_check_limit`, raises
+`ResourceLimitError` for it before any word is built.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -88,28 +90,29 @@ def run(c: Circuit, state: str) -> str:
     return int_to_bits(s, c.width)
 
 
-def _line_pattern(line: int, num_states: int) -> int:
-    """Word whose bit s equals bit `line` of s, for s in 0..num_states-1."""
-    block = 1 << line
-    period = block << 1
-    mask = (1 << num_states) - 1
-    if period >= num_states:
-        return (((1 << block) - 1) << block) & mask
-    # 1-bits every `period` positions via an exact repunit, then widen to blocks.
-    padded = ((num_states + period - 1) // period) * period
-    repunit = ((1 << padded) - 1) // ((1 << period) - 1)
-    return (repunit * (((1 << block) - 1) << block)) & mask
-
-
 def _check_limit(n: int, limit: int) -> None:
     if n > limit:
         raise ResourceLimitError(f"exhaustive sweep over 2^{n} states exceeds limit 2^{limit}")
 
 
+def _cube_word(care: int, value: int, n: int) -> int:
+    """The word whose bit s is set iff s & care == value, for s in 0..2^n-1.
+
+    Starts from the one state `value` and doubles the set once per
+    don't-care position: a shift by that position's weight sets the bit.
+    """
+    word, free = 1 << value, ((1 << n) - 1) & ~care
+    while free:
+        low = free & -free
+        free ^= low
+        word |= word << low
+    return word
+
+
 def _line_patterns(n: int, limit: int) -> list[int]:
     """The start words of a sweep over all 2^n states, one per line."""
     _check_limit(n, limit)
-    return [_line_pattern(line, 1 << n) for line in range(n)]
+    return [_cube_word(1 << line, 1 << line, n) for line in range(n)]
 
 
 def _run_words(c: Circuit, words: list[int], mask: int) -> list[int]:
@@ -136,19 +139,15 @@ def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
         return _run_words(fn, start, (1 << (1 << n)) - 1)[n:]
     if not isinstance(fn, (PlaFunction, EsopCover)):
         raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
+    _check_limit(fn.n, limit)
     xor = isinstance(fn, EsopCover)
-    ones = _line_patterns(fn.n, limit)
-    mask = (1 << (1 << fn.n)) - 1
-    literal = {"0": [mask ^ p for p in ones], "1": ones}
     words = [0] * fn.m
     for cu in fn.cubes:
-        match = mask
-        for i, ch in enumerate(cu.inputs):
-            if ch != "-":
-                match &= literal[ch][i]
-        for j, ch in enumerate(cu.outputs):
-            if ch == "1":
-                words[j] = words[j] ^ match if xor else words[j] | match
+        match, out = _cube_word(cu.care_mask, cu.value_mask, fn.n), cu.output_mask
+        while out:
+            j = (out & -out).bit_length() - 1
+            out &= out - 1
+            words[j] = words[j] ^ match if xor else words[j] | match
     return words
 
 

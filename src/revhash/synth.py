@@ -139,7 +139,7 @@ def write_real(c: Circuit) -> str:
 
 def read_real(text: str) -> Circuit:
     """Read the .real subset produced by write_real."""
-    num_inputs = num_outputs = None
+    num_inputs = num_outputs = numvars = None
     names: list[str] | None = None
     gates: list[Gate] = []
     in_body = False
@@ -159,10 +159,18 @@ def read_real(text: str) -> Circuit:
             elif name is None and comment:
                 name = comment
             continue
-        if line.startswith(".version") or line.startswith(".numvars"):
+        if line.startswith(".version"):
+            continue
+        if line.startswith(".numvars"):
+            fields = line.split()
+            if len(fields) != 2 or not fields[1].isdigit():
+                raise ValueError(f"malformed .numvars line: {line!r}")
+            numvars = int(fields[1])
             continue
         if line.startswith(".variables"):
             names = line.split()[1:]
+            if len(set(names)) != len(names):
+                raise ValueError(f".variables names a line more than once: {line!r}")
             continue
         if line == ".begin":
             in_body = True
@@ -182,6 +190,8 @@ def read_real(text: str) -> Circuit:
             gates.append(Gate(target=idx[-1], positive_controls=frozenset(idx[:-1])))
     if names is None:
         raise ValueError("missing .variables header")
+    if numvars is not None and numvars != len(names):
+        raise ValueError(f".numvars {numvars} does not match {len(names)} .variables")
     if num_inputs is None or num_outputs is None:
         raise ValueError("missing '# revhash inputs=… outputs=…' role comment")
     if num_inputs + num_outputs != len(names):

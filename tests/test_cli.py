@@ -85,7 +85,14 @@ def test_simulate_negative_line_is_input_error(tmp_path, capsys):
                         ".begin\nt2 x0 y0\n.end\n"),
     ("empty_gate.real", "# revhash inputs=2 outputs=1\n.version 1.0\n.numvars 3\n"
                         ".variables x0 x1 y0\n.begin\nt0\n.end\n"),
-], ids=["no-gates", "str-target", "top-level-list", "real-no-outputs", "real-empty-gate"])
+    ("dup_name.real", "# revhash inputs=2 outputs=1\n.version 1.0\n.numvars 3\n"
+                      ".variables x0 x0 y0\n.begin\nt2 x0 y0\n.end\n"),
+    ("numvars.real", "# revhash inputs=2 outputs=1\n.version 1.0\n.numvars 7\n"
+                     ".variables x0 x1 y0\n.begin\nt2 x0 y0\n.end\n"),
+    ("numvars_bare.real", "# revhash inputs=2 outputs=1\n.version 1.0\n.numvars\n"
+                          ".variables x0 x1 y0\n.begin\nt2 x0 y0\n.end\n"),
+], ids=["no-gates", "str-target", "top-level-list", "real-no-outputs", "real-empty-gate",
+        "real-duplicate-name", "real-numvars-mismatch", "real-numvars-bare"])
 def test_simulate_malformed_circuit_is_input_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)

@@ -15,6 +15,7 @@ from revhash.pla import Cube, PlaFunction, evaluate_pla, int_to_bits, parse_pla
 from revhash.sim import (
     EXHAUSTIVE_LIMIT,
     VerifyMode,
+    _line_patterns,
     apply_gate,
     forward_words,
     run,
@@ -245,10 +246,18 @@ def test_batch_matches_single_state():
 
 @st.composite
 def covers(draw):
-    """A cover with dashes, n <= 6 inputs and m <= 3 outputs."""
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    rows = st.tuples(st.text("01-", min_size=n, max_size=n), st.text("01", min_size=m, max_size=m))
-    return n, m, [Cube(i, o) for i, o in draw(st.lists(rows, max_size=8))]
+    """A cover on n <= 8 inputs and m <= 3 outputs: up to 40 rows with
+    dashes, all-dash rows and repeated rows, or a full truth table."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    outputs = st.text("01", min_size=m, max_size=m)
+    if draw(st.booleans()):
+        table = draw(st.lists(outputs, min_size=1 << n, max_size=1 << n))
+        rows = [(int_to_bits(s, n), out) for s, out in enumerate(table)]
+    else:
+        row = st.tuples(st.text("01-", min_size=n, max_size=n), outputs)
+        pool = draw(st.lists(row | st.tuples(st.just("-" * n), outputs), min_size=1, max_size=8))
+        rows = draw(st.lists(row | st.sampled_from(pool), max_size=40))
+    return n, m, [Cube(i, o) for i, o in rows]
 
 
 def _word_bits(words, s):
@@ -288,6 +297,25 @@ def test_one_exhaustive_limit(monkeypatch):
     monkeypatch.delenv(ENV_LIMIT, raising=False)
     defaults["--exhaustive-limit"] = build_parser().parse_args(["analyze", "f.pla"]).exhaustive_limit
     assert defaults == dict.fromkeys(defaults, EXHAUSTIVE_LIMIT)
+
+
+def test_line_patterns_match_state_bits():
+    for n in range(11):
+        patterns = _line_patterns(n, n)
+        assert patterns == [sum(1 << s for s in range(1 << n) if (s >> i) & 1) for i in range(n)]
+
+
+def test_all_dash_sweep_at_and_over_limit():
+    def all_ones(n):
+        cube = [Cube("-" * n, "1")]
+        return (PlaFunction(n=n, m=1, cubes=cube), EsopCover(n=n, m=1, cubes=cube),
+                Circuit(num_inputs=n, num_outputs=1, gates=(NOT(n),)))
+
+    for fn in all_ones(12):
+        assert forward_words(fn, limit=12) == [(1 << 4096) - 1]
+    for fn in all_ones(13):
+        with pytest.raises(ResourceLimitError):
+            forward_words(fn, limit=12)
 
 
 def _lowest_failing_state(forward, rev):
