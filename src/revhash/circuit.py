@@ -65,9 +65,11 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_inputs < 0 or self.num_outputs < 0 or self.width < 1:
             raise ValueError("circuit needs at least one line")
+        lines = 0
         for g in self.gates:
-            if max(g.lines) >= self.width:
-                raise ValueError(f"gate on line {max(g.lines)} exceeds width {self.width}")
+            lines |= g.positive_mask | g.negative_mask | 1 << g.target
+        if lines >> self.width:
+            raise ValueError(f"gate on line {lines.bit_length() - 1} exceeds width {self.width}")
 
     @property
     def width(self) -> int:

@@ -13,9 +13,14 @@ all 2^n inputs and returns one such word per output. Every word a sweep
 starts from is built by `_cube_word`, the set of states s with
 s & care == value, by doubling one state once per don't-care position: a
 cover row's match word, and a line's start word (the cube of that line
-at 1). One limit bounds every sweep: `EXHAUSTIVE_LIMIT` is the log2 of the
-number of states a sweep may cover, and one check, `_check_limit`, raises
-`ResourceLimitError` for it before any word is built.
+at 1), and the fire word of a gate whose control lines all still hold
+their start words (swept lines no earlier gate of the run has targeted):
+the AND of those words is the cube of the gate's control polarities, one
+shift-OR per free position where the AND costs one per control. Other
+gates AND their control words. One limit bounds every sweep:
+`EXHAUSTIVE_LIMIT` is the log2 of the number of states a sweep may cover,
+and one check, `_check_limit`, raises `ResourceLimitError` for it before
+any word is built.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -98,15 +103,15 @@ def _check_limit(n: int, limit: int) -> None:
 def _cube_word(care: int, value: int, n: int) -> int:
     """The word whose bit s is set iff s & care == value, for s in 0..2^n-1.
 
-    Starts from the one state `value` and doubles the set once per
-    don't-care position: a shift by that position's weight sets the bit.
+    Starts from state 0, doubles the set once per don't-care position (a
+    shift by that position's weight sets the bit), then shifts it to `value`.
     """
-    word, free = 1 << value, ((1 << n) - 1) & ~care
+    word, free = 1, ((1 << n) - 1) & ~care
     while free:
         low = free & -free
         free ^= low
         word |= word << low
-    return word
+    return word << value
 
 
 def _line_patterns(n: int, limit: int) -> list[int]:
@@ -115,15 +120,21 @@ def _line_patterns(n: int, limit: int) -> list[int]:
     return [_cube_word(1 << line, 1 << line, n) for line in range(n)]
 
 
-def _run_words(c: Circuit, words: list[int], mask: int) -> list[int]:
-    words = list(words)
-    for g in c.gates:
-        fire = mask
-        for line in g.positive_controls:
-            fire &= words[line]
-        for line in g.negative_controls:
-            fire &= ~words[line]
+def _run_words(gates, words: list[int], mask: int, lanes: int = 0, n: int = 0) -> list[int]:
+    """Apply gates in order; lines 0..lanes-1 start at `_line_patterns(n)`."""
+    words, fresh = list(words), (1 << lanes) - 1
+    for g in gates:
+        controls = g.positive_mask | g.negative_mask
+        if controls and controls & fresh == controls:
+            fire = _cube_word(controls, g.positive_mask, n)
+        else:
+            fire = mask
+            for line in g.positive_controls:
+                fire &= words[line]
+            for line in g.negative_controls:
+                fire &= ~words[line]
         words[g.target] ^= fire
+        fresh &= ~(1 << g.target)
     return words
 
 
@@ -136,7 +147,7 @@ def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
     if isinstance(fn, Circuit):
         n = fn.num_inputs
         start = _line_patterns(n, limit) + [0] * fn.num_outputs
-        return _run_words(fn, start, (1 << (1 << n)) - 1)[n:]
+        return _run_words(fn.gates, start, (1 << (1 << n)) - 1, n, n)[n:]
     if not isinstance(fn, (PlaFunction, EsopCover)):
         raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
     _check_limit(fn.n, limit)
@@ -213,11 +224,13 @@ def verify_identity(
     if forward.width != reversed_circuit.width:
         raise ValueError("circuit widths differ")
     width = forward.width
+    # One gate run, so a line the forward gates target stays off the cube path.
+    gates = (*forward.gates, *reversed_circuit.gates)
 
     if mode is VerifyMode.EXHAUSTIVE:
         _check_limit(width, width_limit)
         controls = 0
-        for g in (*forward.gates, *reversed_circuit.gates):
+        for g in gates:
             controls |= g.positive_mask | g.negative_mask
         read = [line for line in range(width) if controls >> line & 1]
         start = [0] * width
@@ -231,8 +244,9 @@ def verify_identity(
         states = [rng.getrandbits(width) for _ in range(samples)]
         start = _columns(states, width)
         count = swept = samples
-    mask = (1 << swept) - 1
-    words = _run_words(reversed_circuit, _run_words(forward, start, mask), mask)
+        read = []  # no line starts at a pattern word
+    lanes = next((i for i, line in enumerate(read) if line != i), len(read))
+    words = _run_words(gates, start, (1 << swept) - 1, lanes, len(read))
     _, k = _mismatch(words, start)
     if k is None:
         return VerificationReport(mode, count, True, seed=seed)

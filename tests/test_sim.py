@@ -363,3 +363,48 @@ def test_verify_identity_counterexample_on_read_lines():
     report = verify_identity(forward, forward.with_gates([]))
     assert not report.passed and report.counterexample == "000100"
     assert report.states_checked == 64
+
+
+def _assert_identity(forward, rev, passes):
+    for mode in VerifyMode:
+        report = verify_identity(forward, rev, mode=mode, samples=200, seed=5)
+        assert report.passed == passes, (mode, rev.gates)
+        if mode is VerifyMode.EXHAUSTIVE:
+            assert report.counterexample == _lowest_failing_state(forward, rev)
+        elif not passes:
+            s = report.counterexample
+            assert run(rev, run(forward, s)) != s
+
+
+def test_verify_identity_reversed_half_reads_a_targeted_line():
+    # The NOT leaves line 0 off its start pattern for the rest of the run,
+    # the reversed gates included: they must AND line 0's word, not take a cube.
+    forward = Circuit(num_inputs=1, num_outputs=1, gates=[NOT(0), Gate(1, negative_controls={0})])
+    assert truth_table(forward) == {"0": "0", "1": "1"}
+    _assert_identity(forward, reverse(forward), True)
+    _assert_identity(forward, forward.with_gates([NOT(0), CNOT(0, 1)]), True)
+    _assert_identity(forward, forward.with_gates(reverse(forward).gates[:1]), False)
+
+
+def test_verify_identity_uncontrolled_not_fires_everywhere():
+    # Starts and ends with an uncontrolled NOT on a read input line; in a
+    # sampled run, where no line is on the cube path, it must fire on every sample.
+    forward = Circuit(num_inputs=2, num_outputs=1,
+                      gates=[NOT(0), Gate(2, positive_controls={0, 1}), NOT(1)])
+    inverse = [Gate(2, positive_controls={0}, negative_controls={1}), NOT(0), NOT(1)]
+    _assert_identity(forward, reverse(forward), True)
+    _assert_identity(forward, forward.with_gates(inverse), True)
+    _assert_identity(forward, forward.with_gates(inverse[:2]), False)
+
+
+@pytest.mark.parametrize("name, minimized", [("aes4_sbox", False), ("des_sbox1", True)])
+def test_dropping_any_gate_fails_both_checks(name, minimized):
+    f = dict(corpus.corpus_functions())[name]
+    cover = from_pla(f)
+    c = synthesize(minimize(cover) if minimized else cover)
+    r = reverse(c)
+    assert verify_identity(c, r).passed and verify_against_spec(c, f).passed
+    for k in range(len(c.gates)):
+        mutated = c.with_gates(c.gates[:k] + c.gates[k + 1:])
+        assert not verify_identity(mutated, r).passed, k
+        assert not verify_against_spec(mutated, f).passed, k

@@ -227,5 +227,12 @@ def test_json_roundtrip():
 
 
 def test_circuit_width_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gate on line 5 exceeds width 2"):
         Circuit(num_inputs=1, num_outputs=1, gates=(NOT(5),))
+    # The highest offending line is named, whichever gate holds it.
+    with pytest.raises(ValueError, match="gate on line 5 exceeds width 3"):
+        Circuit(num_inputs=2, num_outputs=1,
+                gates=[Gate(target=4), CNOT(0, 1), Gate(target=0, negative_controls={5})])
+    with pytest.raises(ValueError, match="gate on line 3 exceeds width 3"):
+        Circuit(num_inputs=2, num_outputs=1, gates=[CNOT(3, 2)])
+    assert Circuit(num_inputs=2, num_outputs=1, gates=[Gate(2, {0}, {1})]).width == 3
