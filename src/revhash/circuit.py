@@ -65,11 +65,15 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_inputs < 0 or self.num_outputs < 0 or self.width < 1:
             raise ValueError("circuit needs at least one line")
-        lines = 0
+        # Targets are compared, never shifted: a huge one must not build a word.
+        controls, top = 0, -1
         for g in self.gates:
-            lines |= g.positive_mask | g.negative_mask | 1 << g.target
-        if lines >> self.width:
-            raise ValueError(f"gate on line {lines.bit_length() - 1} exceeds width {self.width}")
+            controls |= g.positive_mask | g.negative_mask
+            if g.target > top:
+                top = g.target
+        top = max(top, controls.bit_length() - 1)
+        if top >= self.width:
+            raise ValueError(f"gate on line {top} exceeds width {self.width}")
 
     @property
     def width(self) -> int:

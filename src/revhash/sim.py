@@ -14,13 +14,13 @@ starts from is built by `_cube_word`, the set of states s with
 s & care == value, by doubling one state once per don't-care position: a
 cover row's match word, and a line's start word (the cube of that line
 at 1), and the fire word of a gate whose control lines all still hold
-their start words (swept lines no earlier gate of the run has targeted):
-the AND of those words is the cube of the gate's control polarities, one
-shift-OR per free position where the AND costs one per control. Other
-gates AND their control words. One limit bounds every sweep:
-`EXHAUSTIVE_LIMIT` is the log2 of the number of states a sweep may cover,
-and one check, `_check_limit`, raises `ResourceLimitError` for it before
-any word is built.
+their start words (swept lines no earlier gate of the run has targeted)
+and outnumber its free lines: the AND of those words is the cube of the
+gate's control polarities, one shift-OR per free line where the AND costs
+one pass per control. Other gates AND their control words. One limit
+bounds every sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number of states
+a sweep may cover, and one check, `_check_limit`, raises
+`ResourceLimitError` for it before any word is built.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -120,12 +120,13 @@ def _line_patterns(n: int, limit: int) -> list[int]:
     return [_cube_word(1 << line, 1 << line, n) for line in range(n)]
 
 
-def _run_words(gates, words: list[int], mask: int, lanes: int = 0, n: int = 0) -> list[int]:
+def _run_words(gates, words: list[int], mask: int, lanes: int, n: int) -> list[int]:
     """Apply gates in order; lines 0..lanes-1 start at `_line_patterns(n)`."""
     words, fresh = list(words), (1 << lanes) - 1
     for g in gates:
         controls = g.positive_mask | g.negative_mask
-        if controls and controls & fresh == controls:
+        # A cube costs a shift-OR per free line, the AND a pass per control.
+        if controls & fresh == controls and 2 * controls.bit_count() > n:
             fire = _cube_word(controls, g.positive_mask, n)
         else:
             fire = mask

@@ -77,6 +77,14 @@ def test_simulate_negative_line_is_input_error(tmp_path, capsys):
     assert "negative line" in capsys.readouterr().err
 
 
+def test_simulate_huge_line_is_input_error(tmp_path, capsys):
+    # The width check compares line numbers, so it never builds a 2^target word.
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"inputs": 2, "outputs": 1, "gates": [{"target": 10**11}]}))
+    assert main(["simulate", str(doc), "--input", "01"]) == 1
+    assert f"gate on line {10**11} exceeds width 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, text", [
     ("no_gates.json", json.dumps({"inputs": 2, "outputs": 1})),
     ("str_target.json", json.dumps({"inputs": 2, "outputs": 1, "gates": [{"target": "1"}]})),

@@ -376,13 +376,17 @@ def _assert_identity(forward, rev, passes):
             assert run(rev, run(forward, s)) != s
 
 
-def test_verify_identity_reversed_half_reads_a_targeted_line():
+@pytest.mark.parametrize("n, gate, inverse", [
+    (1, Gate(1, negative_controls={0}), CNOT(0, 1)),
+    (2, Gate(2, negative_controls={0, 1}), Gate(2, {0}, {1})),
+], ids=["one-control", "two-controls"])
+def test_verify_identity_reversed_half_reads_a_targeted_line(n, gate, inverse):
     # The NOT leaves line 0 off its start pattern for the rest of the run,
     # the reversed gates included: they must AND line 0's word, not take a cube.
-    forward = Circuit(num_inputs=1, num_outputs=1, gates=[NOT(0), Gate(1, negative_controls={0})])
-    assert truth_table(forward) == {"0": "0", "1": "1"}
+    forward = Circuit(num_inputs=n, num_outputs=1, gates=[NOT(0), gate])
+    assert truth_table(forward)["1" + "0" * (n - 1)] == "1"
     _assert_identity(forward, reverse(forward), True)
-    _assert_identity(forward, forward.with_gates([NOT(0), CNOT(0, 1)]), True)
+    _assert_identity(forward, forward.with_gates([NOT(0), inverse]), True)
     _assert_identity(forward, forward.with_gates(reverse(forward).gates[:1]), False)
 
 
