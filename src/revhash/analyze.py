@@ -1,11 +1,22 @@
-"""Hash-quality checks: avalanche and collisions."""
+"""Hash-quality checks: avalanche and collisions.
+
+Both work on the words of `sim.forward_words` (bit x of word j is output j
+at input x) and loop over inputs only to read results out. Avalanche part 2
+counts, per input bit i, the words (w_j ^ (w_j >> 2^i)) & low_i, low_i the
+inputs with bit i at 0, in a bit-sliced counter of ceil(m/2) words; part 1
+counts w_j ^ (start word of line j). One `_columns` transpose of these
+words of violating inputs reads them out by x, then by i. Collisions sort
+inputs by output value, output 0 as its top bit, so keys come out in order.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, groupby
 
-from .pla import PlaFunction, int_to_bits
-from .sim import EXHAUSTIVE_LIMIT, _columns, forward_words
+from .esop import EsopCover
+from .pla import PlaFunction
+from .sim import EXHAUSTIVE_LIMIT, _columns, _cube_word, _line_patterns, forward_words
 
 
 @dataclass(frozen=True)
@@ -28,40 +39,49 @@ class AvalancheReport:
         return (self.part1_pass or not self.applicable) and self.part2_pass
 
 
-def avalanche_check(f: PlaFunction, limit: int = EXHAUSTIVE_LIMIT) -> AvalancheReport:
+def _names(n: int) -> list[str]:
+    """Every n-bit string, at the index it packs to (`pla.int_to_bits`)."""
+    names = [""]
+    for _ in range(n):
+        names = [s + "0" for s in names] + [s + "1" for s in names]
+    return names
+
+
+def _below(diffs: list[int], threshold: int, mask: int) -> int:
+    """The states of `mask` with fewer than `threshold` of `diffs` set."""
+    reached = [mask] + [0] * threshold  # reached[k]: states counted k or more times
+    for seen, d in enumerate(diffs, 1):
+        for k in range(min(seen, threshold), 0, -1):
+            reached[k] |= reached[k - 1] & d
+    return mask ^ reached[threshold]
+
+
+def avalanche_check(f: PlaFunction | EsopCover, limit: int = EXHAUSTIVE_LIMIT) -> AvalancheReport:
     """Exhaustive two-part avalanche evaluation.
 
     Part 1: every input differs from its output by at least ceil(m/2) bit
     positions (requires n == m). Part 2: inputs at Hamming distance 1 map
     to outputs at distance at least ceil(m/2).
     """
-    table = _columns(forward_words(f, limit), 1 << f.n)
-    threshold = (f.m + 1) // 2
-    applicable = f.n == f.m
-
-    part1: list[str] = []
+    n, words = f.n, forward_words(f, limit)
+    threshold, applicable = (f.m + 1) // 2, n == f.m
+    bad = []
+    for i in range(n):
+        low = _cube_word(1 << i, 0, n)
+        bad.append(_below([(w ^ w >> (1 << i)) & low for w in words], threshold, low))
     if applicable:
-        for x in range(1 << f.n):
-            if (x ^ table[x]).bit_count() < threshold:
-                part1.append(int_to_bits(x, f.n))
-
-    part2: list[tuple[str, str]] = []
-    for x in range(1 << f.n):
-        for i in range(f.n):
-            other = x | (1 << i)
-            if other == x:
-                continue
-            if (table[x] ^ table[other]).bit_count() < threshold:
-                part2.append((int_to_bits(x, f.n), int_to_bits(other, f.n)))
-
-    return AvalancheReport(
-        applicable=applicable,
-        part1_pass=not part1,
-        part1_violations=tuple(part1),
-        part2_pass=not part2,
-        part2_violations=tuple(part2),
-        threshold=threshold,
-    )
+        diffs = [w ^ p for w, p in zip(words, _line_patterns(n, limit))]
+        bad.append(_below(diffs, threshold, (1 << (1 << n)) - 1))
+    columns, names = _columns(bad, 1 << n), _names(n)
+    part1 = [names[x] for x in compress(range(1 << n), columns) if columns[x] >> n]
+    part2 = []
+    for x in compress(range(1 << n), columns):
+        v, name = columns[x] & ((1 << n) - 1), names[x]
+        while v:
+            step = v & -v
+            v ^= step
+            part2.append((name, names[x | step]))
+    return AvalancheReport(applicable, not part1, tuple(part1), not part2, tuple(part2), threshold)
 
 
 @dataclass(frozen=True)
@@ -74,14 +94,11 @@ class CollisionReport:
         return [(out, xs) for out, xs in self.buckets.items() if len(xs) > 1]
 
 
-def collision_scan(f: PlaFunction, limit: int = EXHAUSTIVE_LIMIT) -> CollisionReport:
+def collision_scan(f: PlaFunction | EsopCover, limit: int = EXHAUSTIVE_LIMIT) -> CollisionReport:
     """Bucket every input by output value; group sizes always sum to 2^n."""
-    table = _columns(forward_words(f, limit), 1 << f.n)
-    buckets: dict[str, list[str]] = {}
-    for x, out in enumerate(table):
-        buckets.setdefault(int_to_bits(out, f.m), []).append(int_to_bits(x, f.n))
-    frozen = {out: tuple(xs) for out, xs in sorted(buckets.items())}
-    return CollisionReport(
-        injective=all(len(xs) == 1 for xs in frozen.values()),
-        buckets=frozen,
-    )
+    size, fmt = 1 << f.n, f"0{f.m}b"
+    value = _columns(forward_words(f, limit)[::-1], size).__getitem__
+    names = _names(f.n)
+    buckets = {format(out, fmt): tuple(map(names.__getitem__, xs))
+               for out, xs in groupby(sorted(range(size), key=value), value)}
+    return CollisionReport(injective=len(buckets) == size, buckets=buckets)

@@ -47,6 +47,7 @@ n <= limit inputs never reaches the bound.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 
@@ -89,12 +90,8 @@ def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageR
         raise ValueError(f"target length {len(y)} != m={len(words)}")
     mask, want = (1 << (1 << n)) - 1, bits_to_int(y)
     bad, _ = _mismatch(words, [mask if want >> j & 1 else 0 for j in range(len(y))])
-    hits = mask ^ bad
-    found = []
-    while hits:
-        s = (hits & -hits).bit_length() - 1
-        hits &= hits - 1
-        found.append(int_to_bits(s, n))
+    hits = format(mask ^ bad, f"0{1 << n}b")[::-1]  # character s is state s
+    found = [int_to_bits(hit.start(), n) for hit in re.finditer("1", hits)]
     return PreimageResult(
         target=y,
         preimages=tuple(sorted(found)),

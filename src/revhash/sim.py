@@ -9,18 +9,19 @@ strategy, and the two agree bit for bit.
 
 Every exhaustive check in the package runs on one kernel, `forward_words`:
 it evaluates a `.pla` cover (rows OR-ed), an XOR cover or a circuit over
-all 2^n inputs and returns one such word per output. Every word a sweep
-starts from is built by `_cube_word`, the set of states s with
-s & care == value, by doubling one state once per don't-care position: a
-cover row's match word, and a line's start word (the cube of that line
-at 1), and the fire word of a gate whose control lines all still hold
-their start words (swept lines no earlier gate of the run has targeted)
-and outnumber its free lines: the AND of those words is the cube of the
-gate's control polarities, one shift-OR per free line where the AND costs
-one pass per control. Other gates AND their control words. One limit
-bounds every sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number of states
-a sweep may cover, and one check, `_check_limit`, raises
-`ResourceLimitError` for it before any word is built.
+all 2^n inputs and returns one such word per output. A cover's minterm
+rows fold into one output row per state, which `_columns` transposes into
+words. Every other word a sweep starts from is built by `_cube_word`, the
+set of states s with s & care == value, by doubling one state once per
+don't-care position: a cover row's match word, a line's start word (the
+cube of that line at 1), and the fire word of a gate whose control lines
+all still hold their start words (swept lines no earlier gate of the run
+has targeted) and outnumber its free lines: the AND of those words is the
+cube of the gate's control polarities, one shift-OR per free line where
+the AND costs one pass per control. Other gates AND their control words.
+One limit bounds every sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number
+of states a sweep may cover, and one check, `_check_limit`, raises
+`ResourceLimitError` before any word is built.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -32,6 +33,7 @@ that depend only on R. `width_limit` still bounds the circuit's width.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass
 
@@ -152,15 +154,19 @@ def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
     if not isinstance(fn, (PlaFunction, EsopCover)):
         raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
     _check_limit(fn.n, limit)
-    xor = isinstance(fn, EsopCover)
-    words = [0] * fn.m
+    op = operator.xor if isinstance(fn, EsopCover) else operator.or_
+    words, full, rows = [0] * fn.m, (1 << fn.n) - 1, None
     for cu in fn.cubes:
+        if cu.care_mask == full:  # a minterm: fold its outputs into its state's row
+            rows = rows or [0] * (1 << fn.n)
+            rows[cu.value_mask] = op(rows[cu.value_mask], cu.output_mask)
+            continue
         match, out = _cube_word(cu.care_mask, cu.value_mask, fn.n), cu.output_mask
         while out:
             j = (out & -out).bit_length() - 1
             out &= out - 1
-            words[j] = words[j] ^ match if xor else words[j] | match
-    return words
+            words[j] = op(words[j], match)
+    return list(map(op, words, _columns(rows, fn.m))) if rows else words
 
 
 def _mismatch(got: list[int], want: list[int]) -> tuple[int, int | None]:

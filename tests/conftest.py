@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from revhash import corpus
 from revhash.circuit import Circuit, Gate
-from revhash.pla import Cube, PlaFunction
+from revhash.pla import Cube, PlaFunction, int_to_bits
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +60,22 @@ def gates_on(draw, width):
     split = draw(st.integers(0, len(controls)))
     return Gate(target=target, positive_controls=controls[:split],
                 negative_controls=controls[split:])
+
+
+@st.composite
+def covers(draw, max_m=3):
+    """A cover (n, m, cubes) on n <= 8 inputs and m <= max_m outputs, often
+    m == n: up to 40 rows mixing dash rows, all-dash rows and minterm rows,
+    repeated rows among them, on top of a full truth table or of nothing."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, max_m) | st.just(min(n, max_m)))
+    outputs = st.text("01", min_size=m, max_size=m)
+    rows = []
+    if draw(st.booleans()):
+        table = draw(st.lists(outputs, min_size=1 << n, max_size=1 << n))
+        rows = [(int_to_bits(s, n), out) for s, out in enumerate(table)]
+    minterm = st.tuples(st.integers(0, (1 << n) - 1).map(lambda s: int_to_bits(s, n)), outputs)
+    row = st.tuples(st.text("01-", min_size=n, max_size=n), outputs) | minterm
+    pool = draw(st.lists(row | st.tuples(st.just("-" * n), outputs), min_size=1, max_size=8))
+    rows += draw(st.lists(row | st.sampled_from(pool), max_size=40))
+    return n, m, [Cube(i, o) for i, o in rows]

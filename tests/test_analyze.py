@@ -2,18 +2,81 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revhash.analyze import avalanche_check, collision_scan
+from revhash.analyze import AvalancheReport, CollisionReport, avalanche_check, collision_scan
 from revhash.cli import main
 from revhash.errors import ResourceLimitError
-from revhash.pla import PlaFunction
+from revhash.esop import EsopCover, evaluate_esop
+from revhash.pla import PlaFunction, bits_to_int, evaluate_pla, int_to_bits
 
 from revhash import corpus
-from conftest import random_truth_table
+from conftest import covers, random_truth_table
 
 
 def fn_to_pla(n, m, fn):
     return corpus.table_to_pla("t", n, m, fn)
+
+
+def oracle_table(f):
+    """Output value per input, one single-state evaluation each."""
+    evaluate = evaluate_esop if isinstance(f, EsopCover) else evaluate_pla
+    return [bits_to_int(evaluate(f, int_to_bits(x, f.n))) for x in range(1 << f.n)]
+
+
+def oracle_avalanche(f):
+    """The per-input loop the word-wise check replaces."""
+    table = oracle_table(f)
+    threshold = (f.m + 1) // 2
+    applicable = f.n == f.m
+
+    part1 = []
+    if applicable:
+        for x in range(1 << f.n):
+            if (x ^ table[x]).bit_count() < threshold:
+                part1.append(int_to_bits(x, f.n))
+
+    part2 = []
+    for x in range(1 << f.n):
+        for i in range(f.n):
+            other = x | (1 << i)
+            if other == x:
+                continue
+            if (table[x] ^ table[other]).bit_count() < threshold:
+                part2.append((int_to_bits(x, f.n), int_to_bits(other, f.n)))
+
+    return AvalancheReport(
+        applicable=applicable,
+        part1_pass=not part1,
+        part1_violations=tuple(part1),
+        part2_pass=not part2,
+        part2_violations=tuple(part2),
+        threshold=threshold,
+    )
+
+
+def oracle_collisions(f):
+    """The per-input bucketing the word-wise scan replaces."""
+    buckets = {}
+    for x, out in enumerate(oracle_table(f)):
+        buckets.setdefault(int_to_bits(out, f.m), []).append(int_to_bits(x, f.n))
+    frozen = {out: tuple(xs) for out, xs in sorted(buckets.items())}
+    return CollisionReport(
+        injective=all(len(xs) == 1 for xs in frozen.values()),
+        buckets=frozen,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers(max_m=8), st.sampled_from([PlaFunction, EsopCover]))
+def test_analysis_matches_per_input_oracle(case, kind):
+    n, m, cubes = case
+    f = kind(n=n, m=m, cubes=tuple(cubes))
+    assert avalanche_check(f) == oracle_avalanche(f)
+    got, want = collision_scan(f), oracle_collisions(f)
+    assert got == want
+    assert list(got.buckets) == list(want.buckets)
 
 
 def test_avalanche_identity_fails_part1():

@@ -5,7 +5,7 @@ import pytest
 from revhash.circuit import CNOT, Circuit, write_circuit_json
 from revhash.cli import main
 from revhash.esop import EsopCover, evaluate_esop, write_esop
-from revhash.pla import Cube, int_to_bits, write_pla
+from revhash.pla import Cube, PlaFunction, int_to_bits, write_pla
 
 from revhash import corpus, esop, synth
 
@@ -380,6 +380,21 @@ def test_esop_file_round_trip(tmp_path, capsys, rows):
         assert main(["simulate", str(path), "--input", x, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["output"] == evaluate_esop(cover, x), x
     assert main(["verify", str(path)]) == 0
+
+
+def test_analyze_esop_file_matches_its_full_table(tmp_path, capsys):
+    rows = [("1-0", "101"), ("-10", "110"), ("110", "011"), ("---", "001"), ("0-1", "111")]
+    cover = EsopCover(n=3, m=3, cubes=tuple(Cube(*r) for r in rows))
+    table = [Cube(int_to_bits(s, 3), evaluate_esop(cover, int_to_bits(s, 3))) for s in range(8)]
+    docs = {}
+    texts = {"esop": write_esop(cover), "table": write_pla(PlaFunction(3, 3, tuple(table))),
+             "or": write_pla(PlaFunction(3, 3, cover.cubes))}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.pla").write_text(text)
+        assert main(["analyze", str(tmp_path / f"{name}.pla"), "--format", "json"]) == 0
+        docs[name] = json.loads(capsys.readouterr().out)
+    assert docs["esop"] == docs["table"]
+    assert docs["esop"] != docs["or"]  # the same rows read with OR give other counts
 
 
 NAND_ESOP = EsopCover(n=2, m=1, cubes=(Cube("--", "1"), Cube("11", "1")))

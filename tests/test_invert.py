@@ -37,6 +37,12 @@ def test_bruteforce_and_targets():
     assert preimages_bruteforce(f, "0").preimages == ("00", "01", "10")
 
 
+def test_bruteforce_lists_every_preimage_at_n18():
+    f = PlaFunction(n=18, m=1, cubes=(Cube("-" * 18, "1"),))
+    result = preimages_bruteforce(f, "1")
+    assert result.preimages == tuple(format(x, "018b") for x in range(1 << 18))
+
+
 def test_bruteforce_demo_hash():
     result = preimages_bruteforce(corpus.demo_hash4_pla(), "1001")
     assert result.preimages == ("0110",)
