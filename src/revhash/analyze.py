@@ -5,14 +5,15 @@ at input x) and loop over inputs only to read results out. Avalanche part 2
 counts, per input bit i, the words (w_j ^ (w_j >> 2^i)) & low_i, low_i the
 inputs with bit i at 0, in a bit-sliced counter of ceil(m/2) words; part 1
 counts w_j ^ (start word of line j). One `_columns` transpose of these
-words of violating inputs reads them out by x, then by i. Collisions sort
-inputs by output value, output 0 as its top bit, so keys come out in order.
+words of violating inputs, taken only when some input violates, reads them
+out by x, then by i. Collisions group inputs by output value, output 0 as
+its top bit, and sort the values, so keys come out in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import compress
 
 from .esop import EsopCover
 from .pla import PlaFunction
@@ -72,16 +73,25 @@ def avalanche_check(f: PlaFunction | EsopCover, limit: int = EXHAUSTIVE_LIMIT) -
     if applicable:
         diffs = [w ^ p for w, p in zip(words, _line_patterns(n, limit))]
         bad.append(_below(diffs, threshold, (1 << (1 << n)) - 1))
-    columns, names = _columns(bad, 1 << n), _names(n)
-    part1 = [names[x] for x in compress(range(1 << n), columns) if columns[x] >> n]
-    part2 = []
-    for x in compress(range(1 << n), columns):
-        v, name = columns[x] & ((1 << n) - 1), names[x]
-        while v:
-            step = v & -v
-            v ^= step
-            part2.append((name, names[x | step]))
-    return AvalancheReport(applicable, not part1, tuple(part1), not part2, tuple(part2), threshold)
+    part1: list[str] = []
+    part2: list[tuple[str, str]] = []
+    if any(bad):  # the transpose and the string table cost a step per input
+        columns, names = _columns(bad, 1 << n), _names(n)
+        part1 = [names[x] for x in compress(range(1 << n), columns) if columns[x] >> n]
+        for x in compress(range(1 << n), columns):
+            v, name = columns[x] & ((1 << n) - 1), names[x]
+            while v:
+                step = v & -v
+                v ^= step
+                part2.append((name, names[x | step]))
+    return AvalancheReport(
+        applicable=applicable,
+        part1_pass=not part1,
+        part1_violations=tuple(part1),
+        part2_pass=not part2,
+        part2_violations=tuple(part2),
+        threshold=threshold,
+    )
 
 
 @dataclass(frozen=True)
@@ -96,9 +106,10 @@ class CollisionReport:
 
 def collision_scan(f: PlaFunction | EsopCover, limit: int = EXHAUSTIVE_LIMIT) -> CollisionReport:
     """Bucket every input by output value; group sizes always sum to 2^n."""
-    size, fmt = 1 << f.n, f"0{f.m}b"
-    value = _columns(forward_words(f, limit)[::-1], size).__getitem__
-    names = _names(f.n)
-    buckets = {format(out, fmt): tuple(map(names.__getitem__, xs))
-               for out, xs in groupby(sorted(range(size), key=value), value)}
-    return CollisionReport(injective=len(buckets) == size, buckets=buckets)
+    # Output 0 as the top bit, so that sorted values give keys in order.
+    values = _columns(forward_words(f, limit)[::-1], 1 << f.n)
+    groups: dict[int, list[str]] = {}
+    for value, name in zip(values, _names(f.n)):
+        groups.setdefault(value, []).append(name)
+    buckets = {format(value, f"0{f.m}b"): tuple(groups[value]) for value in sorted(groups)}
+    return CollisionReport(injective=len(buckets) == 1 << f.n, buckets=buckets)

@@ -47,7 +47,6 @@ n <= limit inputs never reaches the bound.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass
 
@@ -77,6 +76,12 @@ class PreimageResult:
         }
 
 
+# _NONZERO maps a byte to b"1" if it is not 0, else to b"0"; _BYTE_BITS[x]
+# lists the positions of the 1-bits of byte x.
+_NONZERO = b"0" + b"1" * 255
+_BYTE_BITS = [tuple(b for b in range(8) if x >> b & 1) for x in range(256)]
+
+
 def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageResult:
     """Enumerate all x with f(x) = y by forward evaluation.
 
@@ -90,8 +95,14 @@ def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageR
         raise ValueError(f"target length {len(y)} != m={len(words)}")
     mask, want = (1 << (1 << n)) - 1, bits_to_int(y)
     bad, _ = _mismatch(words, [mask if want >> j & 1 else 0 for j in range(len(y))])
-    hits = format(mask ^ bad, f"0{1 << n}b")[::-1]  # character s is state s
-    found = [int_to_bits(hit.start(), n) for hit in re.finditer("1", hits)]
+    # One step per byte that holds a hit: a bit string would cost a step per
+    # state, and clearing the lowest hit a pass over the word per hit.
+    hits, found = (mask ^ bad).to_bytes(((1 << n) + 7) >> 3, "little"), []
+    nonzero = hits.translate(_NONZERO)
+    i = nonzero.find(b"1")
+    while i >= 0:
+        found += (int_to_bits(8 * i + b, n) for b in _BYTE_BITS[hits[i]])
+        i = nonzero.find(b"1", i + 1)
     return PreimageResult(
         target=y,
         preimages=tuple(sorted(found)),

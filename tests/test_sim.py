@@ -1,5 +1,6 @@
 import inspect
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from revhash.sim import (
 )
 from revhash.synth import reverse, synthesize
 
-from revhash import corpus
+from revhash import corpus, sim
 
 from conftest import circuits, covers, gates_on
 
@@ -256,11 +257,26 @@ def _word_bits(words, s):
 def test_forward_words_matches_cover_evaluation(case):
     n, m, cubes = case
     f, cover = PlaFunction(n=n, m=m, cubes=cubes), EsopCover(n=n, m=m, cubes=cubes)
-    or_words, xor_words = forward_words(f), forward_words(cover)
-    for s in range(1 << n):
-        x = int_to_bits(s, n)
-        assert _word_bits(or_words, s) == evaluate_pla(f, x)
-        assert _word_bits(xor_words, s) == evaluate_esop(cover, x)
+    for fold in (True, False):  # minterm rows folded per state, or taken alone
+        with mock.patch.object(sim, "_fold_pays", lambda *_: fold):
+            or_words, xor_words = forward_words(f), forward_words(cover)
+        for s in range(1 << n):
+            x = int_to_bits(s, n)
+            assert _word_bits(or_words, s) == evaluate_pla(f, x)
+            assert _word_bits(xor_words, s) == evaluate_esop(cover, x)
+
+
+def test_minterm_rows_fold_only_when_many():
+    rng = random.Random(5)
+    sparse = [Cube(int_to_bits(rng.getrandbits(18), 18), "1" * 8) for _ in range(100)]
+    sparse.append(Cube("-" * 18, "10000000"))
+    table = corpus.table_to_pla("t", 10, 10, lambda x: x ^ 0x155)
+    assert not sim._fold_pays(sum(1 + cu.output_mask.bit_count() for cu in sparse[:-1]), 18, 8)
+    assert sim._fold_pays(sum(1 + cu.output_mask.bit_count() for cu in table.cubes), 10, 10)
+    assert not sim._fold_pays(0, 1, 1)
+    words = forward_words(PlaFunction(n=18, m=8, cubes=tuple(sparse)))
+    assert words[0] == (1 << (1 << 18)) - 1
+    assert words[1] == sum({1 << cu.value_mask for cu in sparse[:-1]})
 
 
 @settings(max_examples=150, deadline=None)
