@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     target: int
     positive_controls: frozenset[int] = frozenset()
@@ -21,25 +21,26 @@ class Gate:
     # Bit k set iff line k is a positive (negative) control.
     positive_mask: int = field(init=False, repr=False, compare=False)
     negative_mask: int = field(init=False, repr=False, compare=False)
+    # 0 = NOT, 1 = CNOT, 2 = Toffoli, 3+ = generalized Toffoli.
+    control_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Allow construction from any iterable.
         pos, neg = frozenset(self.positive_controls), frozenset(self.negative_controls)
         object.__setattr__(self, "positive_controls", pos)
         object.__setattr__(self, "negative_controls", neg)
-        if self.target < 0 or (pos and min(pos) < 0) or (neg and min(neg) < 0):
-            raise ValueError(f"gate on negative line {min(self.lines)}")
-        if self.target in pos or self.target in neg:
+        try:  # a negative line is a negative shift count
+            pmask, nmask = sum(map((1).__lshift__, pos)), sum(map((1).__lshift__, neg))
+            on_control = (pmask | nmask) >> self.target & 1
+        except ValueError:
+            raise ValueError(f"gate on negative line {min(self.lines)}") from None
+        if on_control:
             raise ValueError(f"target line {self.target} is also a control")
-        if pos & neg:
+        if pmask & nmask:
             raise ValueError("a line cannot be both a positive and a negative control")
-        object.__setattr__(self, "positive_mask", sum(1 << line for line in pos))
-        object.__setattr__(self, "negative_mask", sum(1 << line for line in neg))
-
-    @property
-    def control_count(self) -> int:
-        """0 = NOT, 1 = CNOT, 2 = Toffoli, 3+ = generalized Toffoli."""
-        return len(self.positive_controls) + len(self.negative_controls)
+        object.__setattr__(self, "positive_mask", pmask)
+        object.__setattr__(self, "negative_mask", nmask)
+        object.__setattr__(self, "control_count", len(pos) + len(neg))
 
     @property
     def lines(self) -> frozenset[int]:

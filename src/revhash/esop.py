@@ -106,6 +106,7 @@ def from_pla(f: PlaFunction | EsopCover) -> EsopCover:
 
     Builds the disjoint minterm cover (accumulating overlapping rows with
     OR), drops all-zero-output minterms, and orders rows by input value.
+    A minterm row whose output is its state's output is kept as read.
     On the result, XOR evaluation equals the original's OR evaluation.
     An EsopCover is returned unchanged.
     """
@@ -120,6 +121,7 @@ def from_pla(f: PlaFunction | EsopCover) -> EsopCover:
 
     acc: dict[int, int] = {}
     full = (1 << f.n) - 1
+    rows = {cu.value_mask: cu for cu in f.cubes if cu.care_mask == full}  # the minterm rows
     for cu in f.cubes:
         free = full & ~cu.care_mask
         # Iterate all subsets of the don't-care positions.
@@ -131,7 +133,8 @@ def from_pla(f: PlaFunction | EsopCover) -> EsopCover:
                 break
             sub = (sub - free) & free
     cubes = tuple(
-        Cube(int_to_bits(x, f.n), int_to_bits(out, f.m))
+        row if (row := rows.get(x)) is not None and row.output_mask == out
+        else Cube(int_to_bits(x, f.n), int_to_bits(out, f.m))
         for x, out in sorted(acc.items())
         if out
     )

@@ -35,11 +35,12 @@ class Cube:
     output_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bad = set(self.inputs) - _INPUT_CHARS
-        if bad:
+        if self.inputs.strip("01-"):
+            bad = set(self.inputs) - _INPUT_CHARS
             raise ValueError(f"invalid input literal(s) {sorted(bad)} in {self.inputs!r}")
-        object.__setattr__(self, "care_mask", bits_to_int(self.inputs.translate(_CARE)))
-        object.__setattr__(self, "value_mask", bits_to_int(self.inputs.replace("-", "0")))
+        rev = self.inputs[::-1] or "0"  # holds only 01-, so int() reads the masks as is
+        object.__setattr__(self, "care_mask", int(rev.translate(_CARE), 2))
+        object.__setattr__(self, "value_mask", int(rev.replace("-", "0"), 2))
         object.__setattr__(self, "output_mask", bits_to_int(self.outputs))
 
     @property
@@ -151,13 +152,12 @@ def parse_pla(text: str) -> PlaFunction:
         if len(row) != n + m:
             raise PlaParseError(f"row has {len(row)} symbols, expected {n + m}", lineno)
         inp, out = row[:n], row[n:]
-        bad = set(inp) - _INPUT_CHARS
-        if bad:
-            raise PlaLexicalError(f"invalid input character(s) {sorted(bad)}", lineno)
-        bad = set(out) - _OUTPUT_CHARS
-        if bad:
-            raise PlaLexicalError(f"invalid output character(s) {sorted(bad)}", lineno)
-        if "-" in out or "~" in out:
+        if inp.strip("01-"):
+            raise PlaLexicalError(f"invalid input character(s) {sorted(set(inp) - _INPUT_CHARS)}", lineno)
+        if out.strip("01"):
+            bad = set(out) - _OUTPUT_CHARS
+            if bad:
+                raise PlaLexicalError(f"invalid output character(s) {sorted(bad)}", lineno)
             normalized_outputs += out.count("-") + out.count("~")
             out = out.replace("-", "0").replace("~", "0")
         cubes.append(Cube(inp, out))

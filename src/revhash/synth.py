@@ -13,9 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .circuit import Circuit, Gate, line_name
 from .esop import EsopCover
+
+# Byte b of `row.encode().translate(_ONES)` (`_ZEROS`) is nonzero iff character b of row is "1" ("0").
+_ONES, _ZEROS = bytes.maketrans(b"01-", b"\0\1\0"), bytes.maketrans(b"01-", b"\1\0\0")
 
 
 def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
@@ -27,11 +31,10 @@ def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
     n = c.n
     gates = []
     for cu in c.cubes:
-        pos = frozenset(i for i, ch in enumerate(cu.inputs) if ch == "1")
-        neg = frozenset(i for i, ch in enumerate(cu.inputs) if ch == "0")
-        for j, ch in enumerate(cu.outputs):
-            if ch == "1":
-                gates.append(Gate(target=n + j, positive_controls=pos, negative_controls=neg))
+        inputs = cu.inputs.encode()
+        pos = frozenset(compress(count(), inputs.translate(_ONES)))
+        neg = frozenset(compress(count(), inputs.translate(_ZEROS)))
+        gates += [Gate(target, pos, neg) for target in compress(count(n), cu.outputs.encode().translate(_ONES))]
     return Circuit(num_inputs=n, num_outputs=c.m, gates=tuple(gates), name=name)
 
 

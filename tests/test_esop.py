@@ -20,7 +20,7 @@ from revhash.esop import (
 from revhash.errors import ResourceLimitError
 from revhash.pla import Cube, PlaFunction, evaluate_pla, int_to_bits, parse_pla
 
-from conftest import random_function
+from conftest import covers, random_function
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -74,6 +74,48 @@ def test_from_pla_budget(monkeypatch):
     f = PlaFunction(n=20, m=1, cubes=(Cube("-" * 20, "1"),))
     with pytest.raises(ResourceLimitError):
         from_pla(f)
+
+
+def minterm_cubes(n: int, m: int, cubes) -> tuple[Cube, ...]:
+    """The disjoint minterm cover built anew, one Cube per state in input
+    order, its output the OR over the rows that match it."""
+    out = []
+    for x in range(1 << n):
+        acc = 0
+        for cu in cubes:
+            if x & cu.care_mask == cu.value_mask:
+                acc |= cu.output_mask
+        if acc:
+            out.append(Cube(int_to_bits(x, n), int_to_bits(acc, m)))
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers())
+def test_from_pla_equals_minterms_built_anew(case):
+    n, m, cubes = case
+    got = from_pla(PlaFunction(n=n, m=m, cubes=tuple(cubes))).cubes
+    want = minterm_cubes(n, m, cubes)
+    assert got == want
+    # The masks do not take part in Cube equality, so compare them too.
+    masks = [[(c.care_mask, c.value_mask, c.output_mask) for c in cs] for cs in (got, want)]
+    assert masks[0] == masks[1]
+
+
+def test_from_pla_keeps_minterm_rows_as_read():
+    f = parse_pla(".i 2\n.o 2\n00 01\n01 00\n10 11\n11 10\n.e")
+    kept = from_pla(f).cubes
+    assert len(kept) == 3 and all(c is row for c, row in zip(kept, f.cubes[:1] + f.cubes[2:]))
+    # 00 is overlapped by a dash row and 11 repeated with another output:
+    # their states' outputs are ORs that no row holds, so no row is kept.
+    rows = (Cube("00", "10"), Cube("0-", "01"), Cube("11", "10"), Cube("11", "01"))
+    cubes = from_pla(PlaFunction(n=2, m=2, cubes=rows)).cubes
+    assert cubes == (Cube("00", "11"), Cube("01", "01"), Cube("11", "11"))
+    assert not any(c is row for c in cubes for row in rows)
+    # A row whose output already is the OR is that state's cube, so it is kept.
+    rows = (Cube("10", "11"), Cube("1-", "01"))
+    cubes = from_pla(PlaFunction(n=2, m=2, cubes=rows)).cubes
+    assert cubes == (Cube("10", "11"), Cube("11", "01")) and cubes[0] is rows[0]
 
 
 def test_duplicate_cubes_cancel_at_construction():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -58,10 +59,18 @@ def test_parse_missing_directives():
 
 
 def test_parse_lexical_error():
-    with pytest.raises(PlaLexicalError):
-        parse_pla(".i 2\n.o 1\n1x 1\n.e")
-    with pytest.raises(PlaLexicalError):
-        parse_pla(".i 2\n.o 1\n~1 1\n.e")  # '~' is output-only
+    cases = (
+        (".i 2\n.o 1\n1x 1\n.e", "invalid input character(s) ['x']", 3),
+        (".i 2\n.o 1\n~1 1\n.e", "invalid input character(s) ['~']", 3),  # '~' is output-only
+        (".i 2\n.o 2\n11 01\n\n1y x2\n.e", "invalid input character(s) ['y']", 5),  # inputs first
+        (".i 2\n.o 2\n11 -x\n.e", "invalid output character(s) ['x']", 3),
+    )
+    for text, message, line in cases:
+        with pytest.raises(PlaLexicalError, match=re.escape(message)) as exc:
+            parse_pla(text)
+        assert exc.value.line == line
+    with pytest.raises(ValueError, match=re.escape("invalid input literal(s) ['2'] in '1-2'")):
+        Cube("1-2", "1")
 
 
 def test_parse_row_count_mismatch():

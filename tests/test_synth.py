@@ -13,7 +13,7 @@ from revhash.circuit import (
     write_circuit_json,
 )
 from revhash.esop import EsopCover, from_pla, minimize
-from revhash.pla import Cube, int_to_bits, parse_pla
+from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
 from revhash.sim import run
 from revhash.synth import (
     CircuitStats,
@@ -26,7 +26,7 @@ from revhash.synth import (
     write_real,
 )
 
-from conftest import circuits
+from conftest import circuits, covers
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -36,9 +36,11 @@ def and_circuit():
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target line 0 is also a control"):
         Gate(target=0, positive_controls={0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target line 1 is also a control"):
+        Gate(target=1, negative_controls={1, 2})
+    with pytest.raises(ValueError, match="a line cannot be both a positive and a negative control"):
         Gate(target=2, positive_controls={0}, negative_controls={0})
     for bad in (dict(target=-1), dict(target=1, positive_controls={-1}),
                 dict(target=1, negative_controls={0, -2})):
@@ -50,6 +52,40 @@ def test_gate_control_count():
     assert NOT(0).control_count == 0
     assert CNOT(0, 1).control_count == 1
     assert Gate(target=3, positive_controls={0, 1}, negative_controls={2}).control_count == 3
+
+
+def test_gate_value_semantics():
+    g = Gate(target=3, positive_controls=[0, 1], negative_controls=(2,))
+    assert g == Gate(3, frozenset({0, 1}), frozenset({2})) and hash(g) == hash(Gate(3, {0, 1}, {2}))
+    assert g != Gate(3, {0, 1})
+    assert repr(g) == "Gate(target=3, positive_controls=frozenset({0, 1}), negative_controls=frozenset({2}))"
+    assert (g.positive_mask, g.negative_mask, g.control_count) == (0b011, 0b100, 3)
+
+
+def synthesize_by_scanning(c: EsopCover) -> list[tuple]:
+    """Each gate of synthesize(c) as (target, positive, negative, positive
+    mask, negative mask, control count), made by scanning the strings of
+    every cube character by character, with no Gate."""
+    gates = []
+    for cu in c.cubes:
+        pos = frozenset(i for i, ch in enumerate(cu.inputs) if ch == "1")
+        neg = frozenset(i for i, ch in enumerate(cu.inputs) if ch == "0")
+        for j, ch in enumerate(cu.outputs):
+            if ch == "1":
+                gates.append((c.n + j, pos, neg, sum(1 << i for i in pos), sum(1 << i for i in neg),
+                              len(pos) + len(neg)))
+    return gates
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers())
+def test_synthesize_matches_scanning_oracle(case):
+    n, m, cubes = case
+    # As an XOR cover its dash rows give gates with fewer controls.
+    for cover in (EsopCover(n, m, tuple(cubes)), from_pla(PlaFunction(n, m, tuple(cubes)))):
+        got = [(g.target, g.positive_controls, g.negative_controls, g.positive_mask, g.negative_mask,
+                g.control_count) for g in synthesize(cover).gates]
+        assert got == synthesize_by_scanning(cover)
 
 
 def test_synthesize_and():
