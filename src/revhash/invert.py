@@ -30,14 +30,14 @@ predicate's literals) runs to a fixpoint; when stuck, the solver branches
 on the lowest-index unknown variable, value 0 first, and drops the state on
 contradiction.
 
-A propagated state with at most `LEAF_VARS` free variables is a leaf, as in
-cube-and-conquer (Heule, Kullmann, Wieringa & Biere, HVC 2011): look-ahead
-branching above, bulk enumeration below; so is a state with at most
-`LEAF_VARS` and `limit` before propagation. A leaf is never propagated: its
-2^k assignments are walked depth-first in the same order, one AND per node,
-each checked up to its first line of wrong parity. `branches` and
-`propagations` count only the work above the leaves. Solutions come out in
-lexicographic order, each checked forward over every predicate.
+A propagated state with at most `LEAF_VARS` free variables is a leaf, as
+in cube-and-conquer (Heule, Kullmann, Wieringa & Biere, HVC 2011):
+look-ahead branching above, bulk enumeration below. Inside a leaf nothing
+is propagated; its 2^k assignments are walked depth-first in the same
+order, one AND per node, and each full assignment is checked line by line,
+stopping at the first line of the wrong parity. `branches` counts only the
+decisions above the leaves. Solutions come out in lexicographic order, and
+each is evaluated forward over every predicate before it is accepted.
 
 A search is bounded: it raises `ResourceLimitError` when its branches or
 its leaf assignments pass 2^limit. Leaf assignments are disjoint, and with
@@ -113,8 +113,8 @@ def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageR
     )
 
 
-# A search state with at most this many free variables is enumerated (see
-# the module docstring). In traced benchmark runs, deduction
+# A propagated search state with at most this many free variables is
+# enumerated (see the module docstring). In traced benchmark runs, deduction
 # time per round at 6, 8 and 10 was 5.7, 5.3 and 5.0 ms on perm10 (n = 10)
 # and 50, 48 and 48 ms on compress12 (n = 12); 8 keeps a branching search
 # above the leaves at n = 10, for 6 % more time than 10 there.
@@ -201,11 +201,10 @@ class _Search:
 
     def _visit(self, alive: int, assigned: int, value: int) -> None:
         t = self.t
-        if (t.all_vars & ~assigned).bit_count() > min(LEAF_VARS, self.limit):
-            state = self._propagate(alive, assigned, value)
-            if state is None:
-                return
-            alive, assigned, value = state
+        state = self._propagate(alive, assigned, value)
+        if state is None:
+            return
+        alive, assigned, value = state
         free = t.all_vars & ~assigned
         if free.bit_count() <= LEAF_VARS:
             self.leaf_assignments += 1 << free.bit_count()

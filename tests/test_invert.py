@@ -236,6 +236,17 @@ def test_deduce_budget_raises():
     assert len(preimages_deduce(one_cnot_circuit(14), "1", limit=14).preimages) == 1 << 13
 
 
+def test_deduce_above_limit_prunes_before_leaves():
+    # Output = x3 & (x4 ^ x5). Propagation drops the x3 = 0 states, so only
+    # the x3 = 1 leaves count against the budget (2^11 assignments at
+    # limit 11); walked unpropagated, the x3 = 0 leaves would pass it.
+    c = Circuit(num_inputs=12, num_outputs=1, gates=(Gate(12, {3, 4}), Gate(12, {3, 5})))
+    result = preimages_deduce(c, "1", limit=11)
+    assert len(result.preimages) == 1024
+    assert result.preimages == preimages_bruteforce(c, "1", limit=12).preimages
+    assert preimage_one(c, "1", limit=11) == result.preimages[0]
+
+
 # Both entry points share the input checks.
 DEDUCERS = (preimages_deduce, preimage_one)
 
