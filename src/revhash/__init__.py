@@ -9,15 +9,13 @@ Preimages then fall out of backward deduction over the reversed structure.
 from .analyze import AvalancheReport, avalanche_check, collision_scan
 from .circuit import Circuit, Gate, read_circuit_json, write_circuit_json
 from .errors import PlaLexicalError, PlaParseError, PlaStructureError, ResourceLimitError
-from .esop import CoverCost, EsopCover, cost, evaluate_esop, from_pla, minimize
+from .esop import CoverCost, EsopCover, cost, from_pla, minimize
 from .invert import PreimageResult, preimage_one, preimages_bruteforce, preimages_deduce
-from .pla import Cube, PlaFunction, evaluate_pla, parse_pla, write_pla
+from .pla import Cube, PlaFunction, parse_pla, write_pla
 from .sim import (
     VerificationReport,
     VerifyMode,
-    apply_gate,
     run,
-    truth_table,
     verify_against_spec,
     verify_identity,
 )

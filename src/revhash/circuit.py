@@ -1,58 +1,114 @@
 """Gate and circuit types for reversible NOT/CNOT/Toffoli networks.
 
 A gate flips its target line iff every positive control reads 1 and every
-negative control reads 0. Circuits carry n input lines (0..n-1) followed
-by m output lines (n..n+m-1); both are plain lines, the role split only
-records how synthesis laid them out. Circuits are immutable; every rewrite
-returns a new one.
+negative control reads 0. It is stored as masks: bit k of `positive_mask`
+(`negative_mask`) is set iff line k is a positive (negative) control. Its
+line sets, `positive_controls`, `negative_controls` and `lines`, are
+frozensets derived from the masks on first read. Circuits carry n input
+lines (0..n-1) followed by m output lines (n..n+m-1); both are plain lines,
+the role split only records how synthesis laid them out. Gates and circuits
+are immutable; every rewrite returns a new one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 
-@dataclass(frozen=True, slots=True)
+def mask_lines(mask: int) -> list[int]:
+    """The positions of the 1-bits of a non-negative mask, ascending."""
+    return [line for line, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 class Gate:
-    target: int
-    positive_controls: frozenset[int] = frozenset()
-    negative_controls: frozenset[int] = frozenset()
-    # Bit k set iff line k is a positive (negative) control.
-    positive_mask: int = field(init=False, repr=False, compare=False)
-    negative_mask: int = field(init=False, repr=False, compare=False)
-    # 0 = NOT, 1 = CNOT, 2 = Toffoli, 3+ = generalized Toffoli.
-    control_count: int = field(init=False, repr=False, compare=False)
+    """A NOT (no controls), CNOT (one), Toffoli (two) or generalized Toffoli gate.
 
-    def __post_init__(self):
-        # Allow construction from any iterable.
-        pos, neg = frozenset(self.positive_controls), frozenset(self.negative_controls)
-        object.__setattr__(self, "positive_controls", pos)
-        object.__setattr__(self, "negative_controls", neg)
+    `Gate(target, positive_controls, negative_controls)` takes any iterables of
+    lines and checks them; `Gate.from_masks` trusts its caller. Equality and
+    hash go by target and masks, of which the line sets are a function.
+    """
+
+    # The line sets are properties over private slots: a __getattr__ filling
+    # empty slots would make every attribute read, the masks' too, 2x slower.
+    __slots__ = ("target", "positive_mask", "negative_mask", "control_count",
+                 "_positive", "_negative", "_lines")
+
+    def __new__(cls, target: int, positive_controls=frozenset(), negative_controls=frozenset()):
+        pos, neg = frozenset(positive_controls), frozenset(negative_controls)
         try:  # a negative line is a negative shift count
             pmask, nmask = sum(map((1).__lshift__, pos)), sum(map((1).__lshift__, neg))
-            on_control = (pmask | nmask) >> self.target & 1
+            on_control = (pmask | nmask) >> target & 1
         except ValueError:
-            raise ValueError(f"gate on negative line {min(self.lines)}") from None
+            raise ValueError(f"gate on negative line {min(pos | neg | {target})}") from None
         if on_control:
-            raise ValueError(f"target line {self.target} is also a control")
+            raise ValueError(f"target line {target} is also a control")
         if pmask & nmask:
             raise ValueError("a line cannot be both a positive and a negative control")
-        object.__setattr__(self, "positive_mask", pmask)
-        object.__setattr__(self, "negative_mask", nmask)
-        object.__setattr__(self, "control_count", len(pos) + len(neg))
+        return cls.from_masks(target, pmask, nmask, len(pos) + len(neg))
+
+    @classmethod
+    def from_masks(cls, target: int, positive_mask: int, negative_mask: int, control_count: int) -> Gate:
+        """The gate with these masks, unchecked: the caller guarantees disjoint
+        masks without the target's bit, and control_count as their 1-bit count."""
+        gate = _new(cls)
+        _set_target(gate, target)
+        _set_pmask(gate, positive_mask)
+        _set_nmask(gate, negative_mask)
+        _set_count(gate, control_count)
+        return gate
+
+    @property
+    def positive_controls(self) -> frozenset[int]:
+        try:
+            return self._positive
+        except AttributeError:
+            _set_positive(self, view := frozenset(mask_lines(self.positive_mask)))
+            return view
+
+    @property
+    def negative_controls(self) -> frozenset[int]:
+        try:
+            return self._negative
+        except AttributeError:
+            _set_negative(self, view := frozenset(mask_lines(self.negative_mask)))
+            return view
 
     @property
     def lines(self) -> frozenset[int]:
-        return self.positive_controls | self.negative_controls | {self.target}
+        try:
+            return self._lines
+        except AttributeError:
+            _set_lines(self, view := self.positive_controls | self.negative_controls | {self.target})
+            return view
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.target, self.positive_mask, self.negative_mask) == (
+            other.target, other.positive_mask, other.negative_mask)
+
+    def __hash__(self):
+        return hash((self.target, self.positive_mask, self.negative_mask))
+
+    def __repr__(self):
+        return (f"Gate(target={self.target!r}, positive_controls={self.positive_controls!r}, "
+                f"negative_controls={self.negative_controls!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Gate.from_masks, (self.target, self.positive_mask, self.negative_mask, self.control_count)
 
 
-def NOT(target: int) -> Gate:
-    return Gate(target=target)
-
-
-def CNOT(control: int, target: int) -> Gate:
-    return Gate(target=target, positive_controls=frozenset({control}))
+# Slot setters bypass the frozen __setattr__.
+_new = object.__new__
+_set_target, _set_pmask, _set_nmask, _set_count, _set_positive, _set_negative, _set_lines = (
+    getattr(Gate, slot).__set__ for slot in Gate.__slots__)
 
 
 @dataclass(frozen=True)
@@ -99,8 +155,8 @@ def to_json_doc(c: Circuit) -> dict:
         "gates": [
             {
                 "target": g.target,
-                "positive": sorted(g.positive_controls),
-                "negative": sorted(g.negative_controls),
+                "positive": mask_lines(g.positive_mask),
+                "negative": mask_lines(g.negative_mask),
             }
             for g in c.gates
         ],

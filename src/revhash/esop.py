@@ -42,7 +42,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .pla import Cube, PlaFunction, bits_to_int, check_cubes, int_to_bits, parse_pla, write_pla
+from .pla import Cube, PlaFunction, check_cubes, int_to_bits, parse_pla, write_pla
 
 # minimize stops after this many sweeps; perm12 needs 13, the corpus at most 10.
 MAX_SWEEPS = 64
@@ -87,18 +87,6 @@ def cost(c: EsopCover) -> CoverCost:
         literal_count=sum(cu.num_literals for cu in c.cubes),
         output_ones=sum(cu.output_mask.bit_count() for cu in c.cubes),
     )
-
-
-def evaluate_esop(c: EsopCover, x: str) -> str:
-    """XOR-semantics evaluation at input x."""
-    if len(x) != c.n:
-        raise ValueError(f"input length {len(x)} != n={c.n}")
-    xi = bits_to_int(x)
-    acc = 0
-    for cu in c.cubes:
-        if (xi & cu.care_mask) == cu.value_mask:
-            acc ^= cu.output_mask
-    return int_to_bits(acc, c.m)
 
 
 def from_pla(f: PlaFunction | EsopCover) -> EsopCover:

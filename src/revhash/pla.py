@@ -1,4 +1,4 @@
-"""Parsing, writing, and evaluation of .pla two-level function covers.
+"""Parsing and writing of .pla two-level function covers.
 
 A .pla file describes a function f: B^n -> B^m as a list of cubes. Each row
 carries n input literals over {0,1,-} and m output bits; '-' in an input
@@ -64,10 +64,6 @@ class PlaFunction:
 
     def __post_init__(self):
         check_cubes(self.n, self.m, self.cubes)
-
-    def same_cover(self, other: "PlaFunction") -> bool:
-        """Cube-for-cube equality of the function content (ignores metadata)."""
-        return (self.n, self.m, self.cubes) == (other.n, other.m, other.cubes)
 
 
 def check_cubes(n: int, m: int, cubes) -> None:
@@ -206,17 +202,3 @@ def write_pla(f: PlaFunction) -> str:
         lines.append(f"{c.inputs} {c.outputs}")
     lines.append(".e")
     return "\n".join(lines) + "\n"
-
-
-def evaluate_pla(f: PlaFunction, x: str) -> str:
-    """Evaluate the cover at input x: output bit j is the OR of output bit j
-    over all cubes whose non-dash literals match x (see esop.evaluate_esop
-    for the XOR reading)."""
-    if len(x) != f.n:
-        raise ValueError(f"input length {len(x)} != n={f.n}")
-    xi = bits_to_int(x)
-    acc = 0
-    for c in f.cubes:
-        if (xi & c.care_mask) == c.value_mask:
-            acc |= c.output_mask
-    return int_to_bits(acc, f.m)

@@ -15,11 +15,11 @@ state, which `_columns` transposes into words. Every other word a sweep
 starts from is built by `_cube_word`, the set of states s with s & care ==
 value, by doubling one state once per don't-care position: a cover row's
 match word (a minterm's too, when not folded), a line's start word (the
-cube of that line at 1), and the fire word of a gate whose control lines
+cube of that line at 1), and the fire word of a gate with controls that
 all still hold their start words (swept lines no earlier gate of the run
-has targeted) and outnumber its free lines: the AND of those words is the
-cube of the gate's control polarities, one shift-OR per free line where
-the AND costs one pass per control. Other gates AND their control words.
+has targeted): the AND of those words is the cube of the gate's control
+polarities, a few passes over a word where the AND takes one or two per
+control. Other gates AND the words of the lines in their masks.
 One limit bounds every sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number
 of states a sweep may cover, and one check, `_check_limit`, raises
 `ResourceLimitError` before any word is built.
@@ -38,7 +38,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, mask_lines
 from .errors import ResourceLimitError
 from .esop import EsopCover
 from .pla import PlaFunction, bits_to_int, int_to_bits
@@ -76,12 +76,6 @@ class VerificationReport:
         return doc
 
 
-def apply_gate(state: str, gate: Gate) -> str:
-    """Flip the target bit iff all positive controls are 1 and negatives 0."""
-    s = bits_to_int(state)
-    return int_to_bits(_apply_gate_int(s, gate), len(state))
-
-
 def _apply_gate_int(s: int, gate: Gate) -> int:
     if (s & gate.positive_mask) == gate.positive_mask and (s & gate.negative_mask) == 0:
         s ^= 1 << gate.target
@@ -89,7 +83,7 @@ def _apply_gate_int(s: int, gate: Gate) -> int:
 
 
 def run(c: Circuit, state: str) -> str:
-    """Fold apply_gate over the circuit's gates in order."""
+    """Apply the circuit's gates in order to one state."""
     if len(state) != c.width:
         raise ValueError(f"state length {len(state)} != circuit width {c.width}")
     s = bits_to_int(state)
@@ -128,14 +122,13 @@ def _run_words(gates, words: list[int], mask: int, lanes: int, n: int) -> list[i
     words, fresh = list(words), (1 << lanes) - 1
     for g in gates:
         controls = g.positive_mask | g.negative_mask
-        # A cube costs a shift-OR per free line, the AND a pass per control.
-        if controls & fresh == controls and 2 * controls.bit_count() > n:
+        if controls and controls & fresh == controls:
             fire = _cube_word(controls, g.positive_mask, n)
         else:
             fire = mask
-            for line in g.positive_controls:
+            for line in mask_lines(g.positive_mask):
                 fire &= words[line]
-            for line in g.negative_controls:
+            for line in mask_lines(g.negative_mask):
                 fire &= ~words[line]
         words[g.target] ^= fire
         fresh &= ~(1 << g.target)
@@ -209,20 +202,6 @@ def _columns(rows: list[int], width: int) -> list[int]:
     stride = (width + 7) >> 3
     packed = b"".join(row.to_bytes(stride, "little") for row in rows)
     return [int(packed[v >> 3::stride].translate(_BIT_CHARS[v & 7])[::-1], 2) for v in range(width)]
-
-
-def truth_table(c: Circuit, limit: int = EXHAUSTIVE_LIMIT) -> dict[str, str]:
-    """Map every input vector to the circuit's output-line values.
-
-    Input lines are driven with each x in turn, output lines start at 0.
-    """
-    n, m = c.num_inputs, c.num_outputs
-    outputs = _columns(forward_words(c, limit), 1 << n)
-    table = {}
-    for i in range(1 << n):
-        x = format(i, f"0{n}b")
-        table[x] = int_to_bits(outputs[bits_to_int(x)], m)
-    return table
 
 
 def verify_identity(

@@ -15,11 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .circuit import Circuit, Gate, line_name
+from .circuit import Circuit, Gate, line_name, mask_lines
 from .esop import EsopCover
 
-# Byte b of `row.encode().translate(_ONES)` (`_ZEROS`) is nonzero iff character b of row is "1" ("0").
-_ONES, _ZEROS = bytes.maketrans(b"01-", b"\0\1\0"), bytes.maketrans(b"01-", b"\1\0\0")
+# Byte b of `row.encode().translate(_ONES)` is nonzero iff character b of row is "1".
+_ONES = bytes.maketrans(b"01-", b"\0\1\0")
 
 
 def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
@@ -27,14 +27,12 @@ def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
 
     Gates appear in cube order, then ascending output bit within a cube.
     The gate total equals the number of 1-bits across all cube outputs.
+    A cube's masks are already a valid gate's, so no gate is checked again.
     """
-    n = c.n
-    gates = []
+    n, make, gates = c.n, Gate.from_masks, []
     for cu in c.cubes:
-        inputs = cu.inputs.encode()
-        pos = frozenset(compress(count(), inputs.translate(_ONES)))
-        neg = frozenset(compress(count(), inputs.translate(_ZEROS)))
-        gates += [Gate(target, pos, neg) for target in compress(count(n), cu.outputs.encode().translate(_ONES))]
+        pos, neg, k = cu.value_mask, cu.care_mask ^ cu.value_mask, cu.care_mask.bit_count()
+        gates += [make(target, pos, neg, k) for target in compress(count(n), cu.outputs.encode().translate(_ONES))]
     return Circuit(num_inputs=n, num_outputs=c.m, gates=tuple(gates), name=name)
 
 
@@ -42,15 +40,14 @@ def expand_negative_controls(c: Circuit) -> Circuit:
     """Replace negative controls by NOT / positive-gate / NOT sandwiches."""
     gates = []
     # Gates are immutable, so one NOT per line serves every sandwich.
-    nots = [Gate(target=line) for line in range(c.width)]
+    nots = [Gate.from_masks(line, 0, 0, 0) for line in range(c.width)]
     for g in c.gates:
-        if not g.negative_controls:
+        if not g.negative_mask:
             gates.append(g)
             continue
-        flips = [nots[line] for line in sorted(g.negative_controls)]
+        flips = [nots[line] for line in mask_lines(g.negative_mask)]
         gates.extend(flips)
-        gates.append(Gate(target=g.target,
-                          positive_controls=g.positive_controls | g.negative_controls))
+        gates.append(Gate.from_masks(g.target, g.positive_mask | g.negative_mask, 0, g.control_count))
         gates.extend(flips)
     return c.with_gates(gates)
 
@@ -68,7 +65,7 @@ def remove_superfluous_nots(c: Circuit) -> Circuit:
                 pending[line] = len(kept)
                 kept.append(g)
         else:
-            for line in g.lines:
+            for line in mask_lines(g.positive_mask | g.negative_mask | 1 << g.target):
                 pending.pop(line, None)
             kept.append(g)
     return c.with_gates(g for g in kept if g is not None)
@@ -134,7 +131,7 @@ def write_real(c: Circuit) -> str:
     lines.append(".variables " + " ".join(names))
     lines.append(".begin")
     for g in cleaned.gates:
-        involved = sorted(g.positive_controls) + [g.target]
+        involved = mask_lines(g.positive_mask) + [g.target]
         lines.append(f"t{len(involved)} " + " ".join(names[i] for i in involved))
     lines.append(".end")
     return "\n".join(lines) + "\n"
@@ -209,8 +206,9 @@ def _fold_input_nots(gates: list[Gate], num_inputs: int) -> list[Gate]:
     A NOT on line L commutes past a gate that targets L, and past a gate
     controlled by L once that control's polarity flips, so the result computes
     the same function. A line still flipped at the end gets its NOT back there.
-    For a circuit write_real cleaned, whose input lines are never targets,
-    this gives back the gates it was written from.
+    The gates, as read_real builds them, have positive controls only. For a
+    circuit write_real cleaned, whose input lines are never targets, this
+    gives back the gates it was written from.
     """
     out: list[Gate] = []
     flipped = 0  # bit L set iff an odd number of NOTs on input line L so far
@@ -218,8 +216,7 @@ def _fold_input_nots(gates: list[Gate], num_inputs: int) -> list[Gate]:
         if g.control_count == 0 and g.target < num_inputs:
             flipped ^= 1 << g.target
             continue
-        neg = frozenset(line for line in g.positive_controls if flipped >> line & 1)
-        out.append(Gate(target=g.target, positive_controls=g.positive_controls - neg,
-                        negative_controls=neg))
-    out.extend(Gate(target=line) for line in range(num_inputs) if flipped >> line & 1)
+        neg = g.positive_mask & flipped
+        out.append(Gate.from_masks(g.target, g.positive_mask ^ neg, neg, g.control_count))
+    out.extend(Gate.from_masks(line, 0, 0, 0) for line in mask_lines(flipped))
     return out

@@ -5,7 +5,64 @@ from hypothesis import strategies as st
 
 from revhash import corpus
 from revhash.circuit import Circuit, Gate
-from revhash.pla import Cube, PlaFunction, int_to_bits
+from revhash.esop import EsopCover
+from revhash.pla import Cube, PlaFunction, bits_to_int, int_to_bits
+from revhash.sim import EXHAUSTIVE_LIMIT, _apply_gate_int, _columns, forward_words
+
+
+# Single-state helpers that the tests use as oracles for the wordwise kernels.
+
+def NOT(target: int) -> Gate:
+    return Gate(target=target)
+
+
+def CNOT(control: int, target: int) -> Gate:
+    return Gate(target=target, positive_controls=frozenset({control}))
+
+
+def apply_gate(state: str, gate: Gate) -> str:
+    """Flip the target bit iff all positive controls are 1 and negatives 0."""
+    return int_to_bits(_apply_gate_int(bits_to_int(state), gate), len(state))
+
+
+def truth_table(c: Circuit, limit: int = EXHAUSTIVE_LIMIT) -> dict[str, str]:
+    """Map every input vector to the circuit's output-line values.
+
+    Input lines are driven with each x in turn, output lines start at 0.
+    """
+    n, m = c.num_inputs, c.num_outputs
+    outputs = _columns(forward_words(c, limit), 1 << n)
+    table = {}
+    for i in range(1 << n):
+        x = format(i, f"0{n}b")
+        table[x] = int_to_bits(outputs[bits_to_int(x)], m)
+    return table
+
+
+def _evaluate(f, x: str, combine) -> str:
+    if len(x) != f.n:
+        raise ValueError(f"input length {len(x)} != n={f.n}")
+    xi, acc = bits_to_int(x), 0
+    for c in f.cubes:
+        if (xi & c.care_mask) == c.value_mask:
+            acc = combine(acc, c.output_mask)
+    return int_to_bits(acc, f.m)
+
+
+def evaluate_pla(f: PlaFunction, x: str) -> str:
+    """Evaluate the cover at input x: output bit j is the OR of output bit j
+    over all cubes whose non-dash literals match x."""
+    return _evaluate(f, x, int.__or__)
+
+
+def evaluate_esop(c: EsopCover, x: str) -> str:
+    """XOR-semantics evaluation at input x."""
+    return _evaluate(c, x, int.__xor__)
+
+
+def same_cover(f: PlaFunction, g: PlaFunction) -> bool:
+    """Cube-for-cube equality of the function content (ignores metadata)."""
+    return (f.n, f.m, f.cubes) == (g.n, g.m, g.cubes)
 
 
 @pytest.fixture(scope="session")

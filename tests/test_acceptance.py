@@ -11,17 +11,16 @@ import pytest
 
 from revhash import corpus
 from revhash.circuit import Circuit, Gate
-from revhash.esop import EsopCover, evaluate_esop, from_pla, minimize
+from revhash.esop import EsopCover, from_pla, minimize
 from revhash.invert import preimages_bruteforce, preimages_deduce
 from revhash.pla import (
     Cube,
     PlaFunction,
-    evaluate_pla,
     int_to_bits,
     parse_pla,
     write_pla,
 )
-from revhash.sim import run, truth_table, verify_identity
+from revhash.sim import run, verify_identity
 from revhash.synth import (
     expand_negative_controls,
     remove_superfluous_nots,
@@ -31,7 +30,7 @@ from revhash.synth import (
 )
 from revhash.analyze import collision_scan
 
-from conftest import random_truth_table
+from conftest import evaluate_esop, evaluate_pla, random_truth_table, truth_table
 
 
 def _verdict(criterion: int, detail: str) -> None:

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from revhash.analyze import AvalancheReport, CollisionReport, avalanche_check, collision_scan
 from revhash.cli import main
 from revhash.errors import ResourceLimitError
-from revhash.esop import EsopCover, evaluate_esop
-from revhash.pla import PlaFunction, bits_to_int, evaluate_pla, int_to_bits
+from revhash.esop import EsopCover
+from revhash.pla import PlaFunction, bits_to_int, int_to_bits
 
 from revhash import corpus
-from conftest import covers, random_truth_table
+from conftest import covers, evaluate_esop, evaluate_pla, random_truth_table
 
 
 def fn_to_pla(n, m, fn):

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
-from revhash.circuit import CNOT, Circuit, write_circuit_json
+from revhash.circuit import Circuit, write_circuit_json
 from revhash.cli import main
-from revhash.esop import EsopCover, evaluate_esop, write_esop
+from revhash.esop import EsopCover, write_esop
 from revhash.pla import Cube, PlaFunction, int_to_bits, write_pla
 
 from revhash import corpus, esop, synth
+
+from conftest import CNOT, evaluate_esop
 
 
 @pytest.fixture(scope="module")

@@ -11,16 +11,15 @@ from revhash.esop import (
     CoverCost,
     EsopCover,
     cost,
-    evaluate_esop,
     from_pla,
     minimize,
     read_cover,
     write_esop,
 )
 from revhash.errors import ResourceLimitError
-from revhash.pla import Cube, PlaFunction, evaluate_pla, int_to_bits, parse_pla
+from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
 
-from conftest import covers, random_function
+from conftest import covers, evaluate_esop, evaluate_pla, random_function
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revhash.circuit import CNOT, NOT, Circuit, Gate
+from revhash.circuit import Circuit, Gate
 from revhash.errors import ResourceLimitError
 from revhash.esop import from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
@@ -13,6 +13,8 @@ from revhash.sim import run
 from revhash.synth import expand_negative_controls, synthesize
 
 from revhash import corpus, invert
+
+from conftest import CNOT, NOT
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 

@@ -7,20 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revhash.analyze import avalanche_check, collision_scan
-from revhash.circuit import CNOT, NOT, Circuit, Gate
+from revhash.circuit import Circuit, Gate
 from revhash.cli import ENV_LIMIT, build_parser
 from revhash.errors import ResourceLimitError
-from revhash.esop import EsopCover, evaluate_esop, from_pla, minimize
+from revhash.esop import EsopCover, from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
-from revhash.pla import Cube, PlaFunction, evaluate_pla, int_to_bits, parse_pla
+from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
 from revhash.sim import (
     EXHAUSTIVE_LIMIT,
     VerifyMode,
     _line_patterns,
-    apply_gate,
     forward_words,
     run,
-    truth_table,
     verify_against_spec,
     verify_identity,
 )
@@ -28,7 +26,17 @@ from revhash.synth import reverse, synthesize
 
 from revhash import corpus, sim
 
-from conftest import circuits, covers, gates_on
+from conftest import (
+    CNOT,
+    NOT,
+    apply_gate,
+    circuits,
+    covers,
+    evaluate_esop,
+    evaluate_pla,
+    gates_on,
+    truth_table,
+)
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 

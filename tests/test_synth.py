@@ -1,12 +1,13 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revhash import corpus
 from revhash.circuit import (
-    CNOT,
-    NOT,
     Circuit,
     Gate,
     read_circuit_json,
@@ -26,7 +27,7 @@ from revhash.synth import (
     write_real,
 )
 
-from conftest import circuits, covers
+from conftest import CNOT, NOT, circuits, covers
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -60,6 +61,45 @@ def test_gate_value_semantics():
     assert g != Gate(3, {0, 1})
     assert repr(g) == "Gate(target=3, positive_controls=frozenset({0, 1}), negative_controls=frozenset({2}))"
     assert (g.positive_mask, g.negative_mask, g.control_count) == (0b011, 0b100, 3)
+
+
+@st.composite
+def gate_lines(draw):
+    """(n, m, target, positive, negative): disjoint control lists over the n
+    inputs, in any order, and a target among the m outputs."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    controls = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    split = draw(st.integers(0, len(controls)))
+    return n, m, n + draw(st.integers(0, m - 1)), controls[:split], controls[split:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_lines())
+def test_gate_from_lines_equals_gate_from_cube(case):
+    n, m, target, pos, neg = case
+    inputs = "".join("1" if i in pos else "0" if i in neg else "-" for i in range(n))
+    outputs = "".join("1" if n + j == target else "0" for j in range(m))
+    (made,) = synthesize(EsopCover(n, m, (Cube(inputs, outputs),))).gates
+    g = Gate(target, pos, neg)
+    assert g == made and hash(g) == hash(made) and repr(g) == repr(made)
+    for gate in (g, made):
+        assert gate.positive_controls == frozenset(pos) and gate.negative_controls == frozenset(neg)
+        assert gate.lines == frozenset(pos) | frozenset(neg) | {target}
+        assert gate.control_count == len(pos) + len(neg)
+
+
+def test_gate_is_immutable():
+    g = Gate(target=3, positive_controls={0, 1}, negative_controls={2})
+    views = (g.positive_controls, g.negative_controls, g.lines)
+    for name in ("target", "positive_controls", "negative_controls", "positive_mask",
+                 "negative_mask", "control_count", "lines", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.positive_controls, g.negative_controls, g.lines) == views
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and repr(twin) == repr(g) and twin.control_count == 3
 
 
 def synthesize_by_scanning(c: EsopCover) -> list[tuple]:
