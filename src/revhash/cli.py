@@ -264,15 +264,18 @@ def cmd_invert(args) -> int:
             f = circuit = _load_circuit(args.path)
         if args.first:
             x = invert.preimage_one(circuit, y, limit=limit)
-            doc = {"target": y, "preimage": x}
-            _emit(args, doc, f"{y} <- {x if x is not None else '(none)'}")
-            return EXIT_OK
-        result = invert.preimages_deduce(circuit, y, limit=limit)
+            found = (x,) if x is not None else ()
+        else:
+            result = invert.preimages_deduce(circuit, y, limit=limit)
+            found = result.preimages
         if circuit.num_inputs <= limit:
-            oracle = invert.preimages_bruteforce(f, y, limit=limit)
-            if oracle.preimages != result.preimages:
+            oracle = invert.preimages_bruteforce(f, y, limit=limit).preimages
+            if found != (oracle[:1] if args.first else oracle):
                 print("error: deduction disagrees with brute-force cross-check", file=sys.stderr)
                 return EXIT_VERIFY
+        if args.first:
+            _emit(args, {"target": y, "preimage": x}, f"{y} <- {x if x is not None else '(none)'}")
+            return EXIT_OK
 
     doc = result.to_json_dict()
     lines = [f"{y} <- {len(result.preimages)} preimage(s)"]

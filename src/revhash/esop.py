@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ResourceLimitError
 from .pla import Cube, PlaFunction, check_cubes, int_to_bits, parse_pla, write_pla
@@ -67,11 +68,13 @@ class EsopCover:
 
     def __post_init__(self):
         check_cubes(self.n, self.m, self.cubes)
+        # Cubes compare as their (inputs, outputs) pairs, which hash faster.
+        if len(set(map(attrgetter("inputs", "outputs"), self.cubes))) == len(self.cubes):
+            return
         counts: dict[Cube, int] = {}
         for c in self.cubes:
             counts[c] = counts.get(c, 0) + 1
-        if any(k > 1 for k in counts.values()):
-            object.__setattr__(self, "cubes", tuple(c for c, k in counts.items() if k % 2))
+        object.__setattr__(self, "cubes", tuple(c for c, k in counts.items() if k % 2))
 
 
 @dataclass(frozen=True)

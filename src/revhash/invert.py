@@ -33,11 +33,14 @@ contradiction.
 A propagated state with at most `LEAF_VARS` free variables is a leaf, as
 in cube-and-conquer (Heule, Kullmann, Wieringa & Biere, HVC 2011):
 look-ahead branching above, bulk enumeration below. Inside a leaf nothing
-is propagated; its 2^k assignments are walked depth-first in the same
-order, one AND per node, and each full assignment is checked line by line,
-stopping at the first line of the wrong parity. `branches` counts only the
-decisions above the leaves. Solutions come out in lexicographic order, and
-each is evaluated forward over every predicate before it is accepted.
+is propagated; its free variables above the last `BLOCK_VARS` are walked
+depth-first in the same order, one AND per node. The table keeps one block,
+for the last set of last variables asked for: each of their assignments, in
+lexicographic order, as the AND of its `survive` masks and its value bits.
+A node above the block tests each full assignment with one AND, then line
+by line up to the first line of the wrong parity. `branches` counts only
+the decisions above the leaves. Solutions come out in lexicographic order,
+and each is evaluated forward over every predicate before it is accepted.
 
 A search is bounded: it raises `ResourceLimitError` when its branches or
 its leaf assignments pass 2^limit. Leaf assignments are disjoint, and with
@@ -115,10 +118,12 @@ def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageR
 
 # A propagated search state with at most this many free variables is
 # enumerated (see the module docstring). In traced benchmark runs, deduction
-# time per round at 6, 8 and 10 was 5.7, 5.3 and 5.0 ms on perm10 (n = 10)
-# and 50, 48 and 48 ms on compress12 (n = 12); 8 keeps a branching search
-# above the leaves at n = 10, for 6 % more time than 10 there.
+# time per round at 6, 8 and 10 was 4.1, 3.8 and 3.8 ms on perm10 (n = 10)
+# and 36, 34 and 33 ms on compress12 (n = 12); 8 keeps a branching search
+# above the leaves at n = 10, for no more time than 10 there.
 LEAF_VARS = 8
+# A leaf's last free variables, whose assignments come from one block.
+BLOCK_VARS = 4
 
 
 class _PredicateTable:
@@ -155,6 +160,20 @@ class _PredicateTable:
         # v = b does not falsify.
         self.occ = [a | b for a, b in zip(pos_occ, neg_occ)]
         self.survive = [(self.all_preds ^ a, self.all_preds ^ b) for a, b in zip(pos_occ, neg_occ)]
+        self.block_vars, self.block_rows = -1, []
+
+    def block(self, free: int) -> list[tuple[int, int]]:
+        """(AND of the survive masks, value bits) of every assignment of the
+        variables in `free`, in lexicographic order; kept for the last `free`."""
+        if free != self.block_vars:
+            rows, rest = [(self.all_preds, 0)], free
+            while rest:
+                bit = rest & -rest
+                s0, s1 = self.survive[bit.bit_length() - 1]
+                rows = [row for mask, bits in rows for row in ((mask & s0, bits), (mask & s1, bits | bit))]
+                rest ^= bit
+            self.block_vars, self.block_rows = free, rows
+        return self.block_rows
 
 
 # The table of the last circuit deduced over, with that circuit. Circuits
@@ -222,18 +241,23 @@ class _Search:
 
     def _leaf(self, alive: int, free: int, value: int) -> None:
         """Walk every assignment of the free variables, lowest first, 0 first."""
-        if not free:
-            for line, want in self.checks:
-                if (alive & line).bit_count() & 1 != want:
-                    return
-            self._record(value)
+        if free.bit_count() > BLOCK_VARS:
+            bit = free & -free
+            s0, s1 = self.t.survive[bit.bit_length() - 1]
+            free ^= bit
+            self._leaf(alive & s0, free, value)
+            if not (self.first_only and self.solutions):
+                self._leaf(alive & s1, free, value | bit)
             return
-        bit = free & -free
-        s0, s1 = self.t.survive[bit.bit_length() - 1]
-        free ^= bit
-        self._leaf(alive & s0, free, value)
-        if not (self.first_only and self.solutions):
-            self._leaf(alive & s1, free, value | bit)
+        for mask, bits in self.t.block(free):
+            fired = alive & mask
+            for line, want in self.checks:
+                if (fired & line).bit_count() & 1 != want:
+                    break
+            else:
+                self._record(value | bits)
+                if self.first_only:
+                    return
 
     def _record(self, value: int) -> None:
         # Soundness: re-evaluate every predicate forward before accepting.

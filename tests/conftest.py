@@ -65,6 +65,24 @@ def same_cover(f: PlaFunction, g: PlaFunction) -> bool:
     return (f.n, f.m, f.cubes) == (g.n, g.m, g.cubes)
 
 
+def oracle_leaf(search, alive: int, free: int, value: int) -> None:
+    """`invert._Search._leaf` one variable at a time, one AND per node, down
+    to each full assignment: the oracle for the walk that takes a leaf's
+    last variables from the predicate table's block."""
+    if not free:
+        for line, want in search.checks:
+            if (alive & line).bit_count() & 1 != want:
+                return
+        search._record(value)
+        return
+    bit = free & -free
+    s0, s1 = search.t.survive[bit.bit_length() - 1]
+    free ^= bit
+    oracle_leaf(search, alive & s0, free, value)
+    if not (search.first_only and search.solutions):
+        oracle_leaf(search, alive & s1, free, value | bit)
+
+
 @pytest.fixture(scope="session")
 def corpus_funcs():
     return dict(corpus.corpus_functions())

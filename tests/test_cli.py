@@ -7,7 +7,7 @@ from revhash.cli import main
 from revhash.esop import EsopCover, write_esop
 from revhash.pla import Cube, PlaFunction, int_to_bits, write_pla
 
-from revhash import corpus, esop, synth
+from revhash import corpus, esop, invert, synth
 
 from conftest import CNOT, evaluate_esop
 
@@ -302,6 +302,18 @@ def test_invert_below_limit_skips_crosscheck(corpus_dir, capsys):
                  "--exhaustive-limit", "3", "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["preimages"] == ["0110"]
+
+
+@pytest.mark.parametrize("deducer, wrong, flags", [
+    ("preimages_deduce", lambda c, y, limit: invert.PreimageResult(y, ("0000",), "deduction", 0, 0, 0.0), []),
+    ("preimage_one", lambda c, y, limit: "0000", ["--first"]),
+])
+def test_invert_crosscheck_catches_wrong_deduction(corpus_dir, monkeypatch, capsys, deducer, wrong, flags):
+    monkeypatch.setattr(invert, deducer, wrong)
+    assert main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "1001", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: deduction disagrees with brute-force cross-check\n"
 
 
 def test_invert_brute_runs_no_synthesis(corpus_dir, monkeypatch, capsys):

@@ -124,6 +124,15 @@ def test_duplicate_cubes_cancel_at_construction():
     assert len(tripled.cubes) == 1
 
 
+def test_duplicate_cancel_keeps_first_appearance_order():
+    a, b, c, d = Cube("11", "1"), Cube("0-", "1"), Cube("10", "1"), Cube("-1", "1")
+    # a first appears before d and last appears after it.
+    cover = EsopCover(n=2, m=1, cubes=(a, b, c, b, d, Cube("11", "1"), Cube("11", "1"), c))
+    assert cover.cubes == (a, d)
+    assert cover.cubes[0] is a
+    assert EsopCover(n=2, m=1, cubes=(d, b, c)).cubes == (d, b, c)
+
+
 def test_minimize_cancels_identical_pair():
     cover = EsopCover(n=2, m=1, cubes=(Cube("11", "1"), Cube("11", "1")))
     assert minimize(cover).cubes == ()

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revhash.circuit import Circuit, Gate
@@ -9,12 +9,12 @@ from revhash.errors import ResourceLimitError
 from revhash.esop import from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
 from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
-from revhash.sim import run
+from revhash.sim import EXHAUSTIVE_LIMIT, run
 from revhash.synth import expand_negative_controls, synthesize
 
 from revhash import corpus, invert
 
-from conftest import CNOT, NOT
+from conftest import CNOT, NOT, oracle_leaf
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -155,13 +155,13 @@ def test_deduce_nonzero_initialization():
 
 
 @st.composite
-def synthesized_shape(draw):
+def synthesized_shape(draw, max_n=7):
     """A circuit laid out as synthesis lays it out, a target and an init.
 
     Every gate targets an output line; its controls, positive and negative
     mixed, sit on input lines, and a gate with none is a plain NOT.
     """
-    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    n, m = draw(st.integers(1, max_n)), draw(st.integers(1, 3))
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         controls = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
@@ -185,6 +185,38 @@ def test_deduce_matches_forward_runs(case):
             mp.setattr(invert, "LEAF_VARS", leaf_vars)
             assert preimages_deduce(c, y, output_init=init).preimages == expected, leaf_vars
             assert preimage_one(c, y, output_init=init) == (expected[0] if expected else None), leaf_vars
+
+
+def deduce_both_ways(c, y, init):
+    """What a full search and a first-only search report, and all they found."""
+    full = preimages_deduce(c, y, output_init=init)
+    first = invert._Search(c, y, init, EXHAUSTIVE_LIMIT, first_only=True)
+    first.solve()
+    return (full.preimages, full.branches, full.propagations, preimage_one(c, y, output_init=init),
+            first.solutions, first.branches, first.propagations)
+
+
+# Output = x0 ^ x8: branching on x0 pins x8, so at n = 10 and LEAF_VARS 8
+# the leaf's free variables, and so its block, skip x8.
+X0_XOR_X8 = Circuit(num_inputs=10, num_outputs=1, gates=(CNOT(0, 10), CNOT(8, 10)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(synthesized_shape(max_n=10))
+@example((X0_XOR_X8, "1", "0"))
+# The circuit of test_deduce_above_limit_prunes_before_leaves: propagation
+# pins x5 once x4 is set, below LEAF_VARS 8.
+@example((Circuit(num_inputs=12, num_outputs=1, gates=(Gate(12, {3, 4}), Gate(12, {3, 5}))), "1", "0"))
+def test_blocked_leaves_match_oracle(case):
+    # At 0 and 3 a leaf is smaller than a block, at 4 at most one block;
+    # at 5 and 8 it walks variables above its block.
+    c, y, init = case
+    for leaf_vars in (0, 3, 4, 5, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invert, "LEAF_VARS", leaf_vars)
+            got = deduce_both_ways(c, y, init)
+            mp.setattr(invert._Search, "_leaf", oracle_leaf)
+            assert got == deduce_both_ways(c, y, init), leaf_vars
 
 
 def test_deduce_repeated_gate_and_shared_cube():
