@@ -13,7 +13,9 @@ are immutable; every rewrite returns a new one.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
+
+from .esop import EsopCover
 
 
 def mask_lines(mask: int) -> list[int]:
@@ -113,10 +115,18 @@ _set_target, _set_pmask, _set_nmask, _set_count, _set_positive, _set_negative, _
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on num_inputs input lines followed by num_outputs output lines.
+
+    `cover` is the XOR cover `synth.synthesize` built the gates from, the
+    same object, or None. It is no part of equality, hash, repr or any file
+    format, the constructor does not take it, and every rewrite drops it.
+    """
+
     num_inputs: int
     num_outputs: int
     gates: tuple[Gate, ...] = ()
     name: str | None = None
+    cover: EsopCover | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))

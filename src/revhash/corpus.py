@@ -72,37 +72,28 @@ DES_SBOXES = (
 )
 
 
-def _gf_mul(a: int, b: int, modulus: int, width: int) -> int:
+def _gf_inverses(modulus: int, width: int) -> list[int]:
+    """The inverse of every element of GF(2^width) (0 maps to 0), from one
+    pass over the powers of x + 1 (0x03), which generates the multiplicative
+    group for both moduli used here: the inverse of g^k is g^-k."""
     high = 1 << width
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        if a & high:
-            a ^= modulus | high
-        b >>= 1
-    return r
-
-
-def _gf_inv(a: int, modulus: int, width: int) -> int:
-    if a == 0:
-        return 0
-    r, base, e = 1, a, (1 << width) - 2
-    while e:
-        if e & 1:
-            r = _gf_mul(r, base, modulus, width)
-        base = _gf_mul(base, base, modulus, width)
-        e >>= 1
-    return r
+    powers, p = [], 1
+    for _ in range(high - 1):
+        powers.append(p)
+        p ^= p << 1
+        if p & high:
+            p ^= modulus | high
+    inverses = [0] * high
+    for k, p in enumerate(powers):
+        inverses[p] = powers[-k]
+    return inverses
 
 
 @lru_cache(maxsize=None)
 def aes_sbox() -> tuple[int, ...]:
     """AES S-box: inversion in GF(2^8) mod x^8+x^4+x^3+x+1 plus affine map."""
     out = []
-    for x in range(256):
-        b = _gf_inv(x, 0x1B, 8)
+    for b in _gf_inverses(0x1B, 8):
         y = 0
         for i in range(8):
             bit = (
@@ -128,8 +119,7 @@ def aes4_sbox() -> tuple[int, ...]:
     followed by the affine map with column matrix [D,B,7,E] and constant 6."""
     cols = (0xD, 0xB, 0x7, 0xE)
     out = []
-    for x in range(16):
-        b = _gf_inv(x, 0x3, 4)
+    for b in _gf_inverses(0x3, 4):
         y = 0x6
         for i in range(4):
             if (b >> i) & 1:

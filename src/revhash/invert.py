@@ -15,7 +15,11 @@ on the same circuit object. It holds one predicate per distinct cube (a
 pair of positive and negative control masks): each output line's
 membership is toggled by XOR, so a gate repeated on one line cancels, and a
 cube on several lines is one predicate on each of them. Uncontrolled NOTs
-only flip their line's wanted parity. Every set of predicates is one int
+only flip their line's wanted parity. A circuit that `synthesize` returned
+carries the XOR cover it was built from, with one gate per cube and output
+1-bit, so the table is read from those cubes, each toggling the lines of
+its output row; any other circuit (read from a file, built by hand, or
+rewritten) is read gate by gate. Both give the same table. Every set of predicates is one int
 with bit p for predicate p: those on each output line, those with a literal
 on each input variable, and those that each value of each input variable
 does not falsify.
@@ -128,24 +132,41 @@ BLOCK_VARS = 4
 
 class _PredicateTable:
     """A circuit's output lines as XOR constraints over distinct cube
-    predicates, independent of the target (see the module docstring)."""
+    predicates, independent of the target (see the module docstring).
+
+    The cubes come from the circuit's `cover` when it has one, and from its
+    gates otherwise; only the gates are checked for lines deduction cannot
+    read, since a cover's gates are on the right lines by construction.
+    """
 
     def __init__(self, c: Circuit):
         n, m = c.num_inputs, c.num_outputs
         input_mask = (1 << n) - 1
         self.flips = 0  # output lines with an odd number of uncontrolled NOTs
         members: dict[tuple[int, int], int] = {}  # cube -> lines it toggles
-        for g in c.gates:
-            if g.target < n:
-                raise ValueError("deduction needs targets on output lines only")
-            if (g.positive_mask | g.negative_mask) & ~input_mask:
-                raise ValueError("deduction needs controls on input lines only")
-            cube = (g.positive_mask, g.negative_mask)
-            line = 1 << (g.target - n)
-            if cube == (0, 0):
-                self.flips ^= line
-            else:
-                members[cube] = members.get(cube, 0) ^ line
+        if c.cover is not None:
+            # One gate per cube and output 1-bit: the cubes toggle the same
+            # lines, in the same first-seen order, as the gates would.
+            for cu in c.cover.cubes:
+                if not cu.output_mask:
+                    continue
+                cube = (cu.value_mask, cu.care_mask ^ cu.value_mask)
+                if cube == (0, 0):
+                    self.flips ^= cu.output_mask
+                else:
+                    members[cube] = members.get(cube, 0) ^ cu.output_mask
+        else:
+            for g in c.gates:
+                if g.target < n:
+                    raise ValueError("deduction needs targets on output lines only")
+                if (g.positive_mask | g.negative_mask) & ~input_mask:
+                    raise ValueError("deduction needs controls on input lines only")
+                cube = (g.positive_mask, g.negative_mask)
+                line = 1 << (g.target - n)
+                if cube == (0, 0):
+                    self.flips ^= line
+                else:
+                    members[cube] = members.get(cube, 0) ^ line
         preds = [(cube, lines) for cube, lines in members.items() if lines]
         self.pred_pos = [pos for (pos, _), _ in preds]
         self.pred_neg = [neg for (_, neg), _ in preds]

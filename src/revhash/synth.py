@@ -28,12 +28,15 @@ def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
     Gates appear in cube order, then ascending output bit within a cube.
     The gate total equals the number of 1-bits across all cube outputs.
     A cube's masks are already a valid gate's, so no gate is checked again.
+    The circuit keeps `c` as its `cover`.
     """
     n, make, gates = c.n, Gate.from_masks, []
     for cu in c.cubes:
         pos, neg, k = cu.value_mask, cu.care_mask ^ cu.value_mask, cu.care_mask.bit_count()
         gates += [make(target, pos, neg, k) for target in compress(count(n), cu.outputs.encode().translate(_ONES))]
-    return Circuit(num_inputs=n, num_outputs=c.m, gates=tuple(gates), name=name)
+    circuit = Circuit(num_inputs=n, num_outputs=c.m, gates=tuple(gates), name=name)
+    object.__setattr__(circuit, "cover", c)
+    return circuit
 
 
 def expand_negative_controls(c: Circuit) -> Circuit:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from revhash.circuit import Circuit, Gate
 from revhash.errors import ResourceLimitError
-from revhash.esop import from_pla, minimize
+from revhash.esop import EsopCover, from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
 from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
 from revhash.sim import EXHAUSTIVE_LIMIT, run
@@ -14,7 +14,7 @@ from revhash.synth import expand_negative_controls, synthesize
 
 from revhash import corpus, invert
 
-from conftest import CNOT, NOT, oracle_leaf
+from conftest import CNOT, NOT, covers, oracle_leaf
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -248,6 +248,76 @@ def test_deduce_table_memo_follows_circuit():
     y = run(a, "0110" + init)[4:]
     assert preimages_deduce(a, y, output_init=init).preimages == forward_preimages(a, y, init)
     assert preimages_deduce(a, "1001").preimages == ("0110",)
+
+
+# -- the predicate table from a circuit's cover --------------------------------
+
+def gates_only(c):
+    """The same gates without the cover `synthesize` keeps."""
+    return Circuit(num_inputs=c.num_inputs, num_outputs=c.num_outputs, gates=c.gates)
+
+
+def table_fields(c):
+    t = invert._PredicateTable(c)
+    return t.flips, t.pred_pos, t.pred_neg, t.lines, t.occ, t.survive
+
+
+@st.composite
+def xor_covers(draw):
+    """A `covers()` cover with rows added that repeat an input key, the
+    all-dash one among them, under other outputs or under none."""
+    n, m, cubes = draw(covers())
+    keys = st.sampled_from([cu.inputs for cu in cubes] + ["-" * n])
+    outputs = st.text("01", min_size=m, max_size=m) | st.just("0" * m)
+    cubes += [Cube(i, o) for i, o in draw(st.lists(st.tuples(keys, outputs), max_size=8))]
+    return EsopCover(n, m, tuple(draw(st.permutations(cubes))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(xor_covers())
+# A zero-output row ahead of its key's first gate must not move that key.
+@example(EsopCover(3, 2, (Cube("01-", "00"), Cube("1-0", "10"), Cube("---", "01"), Cube("1-0", "11"),
+                          Cube("---", "11"), Cube("01-", "01"), Cube("1-0", "00"))))
+def test_table_from_cover_equals_table_from_gates(cover):
+    c = synthesize(cover)
+    assert c.cover is cover
+    bare = gates_only(c)
+    assert table_fields(c) == table_fields(bare)
+    # Below LEAF_VARS 8 every case is one leaf; 0 runs the search above them.
+    for leaf_vars in (0, invert.LEAF_VARS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invert, "LEAF_VARS", leaf_vars)
+            for y in range(1 << cover.m):
+                y = int_to_bits(y, cover.m)
+                assert deduce_both_ways(c, y, None) == deduce_both_ways(bare, y, None), (leaf_vars, y)
+
+
+def test_table_from_cover_on_benchmark_circuits():
+    perm = list(range(1 << 10))
+    random.Random(1).shuffle(perm)
+    perm10 = PlaFunction(n=10, m=10, cubes=tuple(
+        Cube(format(x, "010b"), format(y, "010b")) for x, y in enumerate(perm)))
+    rng = random.Random(1)
+    compress12 = PlaFunction(n=12, m=4, cubes=tuple(
+        Cube(format(x, "012b"), format(rng.randrange(16), "04b")) for x in range(1 << 12)))
+    for c in (synthesize(minimize(from_pla(perm10))), synthesize(from_pla(compress12))):
+        assert c.cover is not None
+        assert table_fields(c) == table_fields(gates_only(c))
+
+
+def test_deduce_after_gate_drop_follows_the_gates():
+    # The mutated circuit has no cover, so deduction must answer for its
+    # gates; the cover it came from would give the S-box's preimages.
+    c = synthesize(minimize(from_pla(dict(corpus.corpus_functions())["aes4_sbox"])))
+    mutated = c.with_gates(c.gates[:5] + c.gates[6:])
+    assert mutated.cover is None
+    changed = 0
+    for y in range(16):
+        y = int_to_bits(y, 4)
+        got = preimages_deduce(mutated, y).preimages
+        assert got == preimages_bruteforce(mutated, y).preimages, y
+        changed += got != preimages_deduce(c, y).preimages
+    assert changed
 
 
 def one_cnot_circuit(n):

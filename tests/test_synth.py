@@ -302,6 +302,22 @@ def test_json_roundtrip():
     assert back == c
 
 
+def test_synthesize_keeps_its_cover_and_rewrites_drop_it():
+    cover = minimize(from_pla(corpus.demo_hash4_pla()))
+    c = synthesize(cover, name="demo")
+    assert c.cover is cover
+    bare = Circuit(c.num_inputs, c.num_outputs, c.gates, c.name)
+    assert bare.cover is None
+    # The cover is no part of the circuit's value or of its files.
+    assert bare == c and hash(bare) == hash(c) and repr(bare) == repr(c)
+    assert write_real(bare) == write_real(c) and write_circuit_json(bare) == write_circuit_json(c)
+    with pytest.raises(TypeError):
+        Circuit(c.num_inputs, c.num_outputs, c.gates, cover=cover)
+    rewritten = (reverse(c), expand_negative_controls(c), remove_superfluous_nots(c), c.with_gates(c.gates),
+                 read_real(write_real(c)), read_circuit_json(write_circuit_json(c)))
+    assert [r.cover for r in rewritten] == [None] * 6
+
+
 def test_circuit_width_validation():
     with pytest.raises(ValueError, match="gate on line 5 exceeds width 2"):
         Circuit(num_inputs=1, num_outputs=1, gates=(NOT(5),))
