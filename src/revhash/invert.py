@@ -19,10 +19,10 @@ only flip their line's wanted parity. A circuit that `synthesize` returned
 carries the XOR cover it was built from, with one gate per cube and output
 1-bit, so the table is read from those cubes, each toggling the lines of
 its output row; any other circuit (read from a file, built by hand, or
-rewritten) is read gate by gate. Both give the same table. Every set of predicates is one int
-with bit p for predicate p: those on each output line, those with a literal
-on each input variable, and those that each value of each input variable
-does not falsify.
+rewritten) is read gate by gate. Both give the same table. Every set of
+predicates is one int with bit p for predicate p: those on each output
+line, those with a literal on each input variable, and those that each
+value of each input variable does not falsify.
 
 A search, one per target, holds only the wanted parities, its counters and
 its solutions. A search state is three ints: the predicates not yet
