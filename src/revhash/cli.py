@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -17,15 +16,13 @@ from typing import NamedTuple
 
 from . import analyze, corpus, esop, invert, sim, synth
 from .circuit import Circuit, read_circuit_json, write_circuit_json
-from .errors import PlaParseError, ResourceLimitError
+from .errors import EXHAUSTIVE_LIMIT, PlaParseError, ResourceLimitError
 from .synth import read_real, write_real
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
-
-ENV_LIMIT = "REVHASH_EXHAUSTIVE_LIMIT"
 
 
 def main(argv=None) -> int:
@@ -42,20 +39,10 @@ def main(argv=None) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors print the usage line and reach main as ValueError, so they
-    exit 1 as input errors do; argparse's exit 2 would read as a resource limit.
-
-    The `--exhaustive-limit` default is read from the environment only once a
-    subcommand that sweeps was chosen, so a bad value cannot fail `--help` or
-    a subcommand that runs no sweep."""
+    exit 1 as input errors do; argparse's exit 2 would read as a resource limit."""
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValueError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, rest = super().parse_known_args(args, namespace)
-        if getattr(namespace, "exhaustive_limit", 0) is None:
-            namespace.exhaustive_limit = _limit(os.environ.get(ENV_LIMIT, sim.EXHAUSTIVE_LIMIT), ENV_LIMIT)
-        return namespace, rest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,28 +115,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _limit_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exhaustive-limit", action=_LimitFlag,
-                   help=f"log2 of the most states an exhaustive sweep may cover (env {ENV_LIMIT})")
+    p.add_argument("--exhaustive-limit", action=_LimitFlag, default=EXHAUSTIVE_LIMIT,
+                   help=f"log2 of the most states an exhaustive sweep may cover (default {EXHAUSTIVE_LIMIT})")
 
 
 def _format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _limit(raw: str | int, source: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
-    return value
-
-
 class _LimitFlag(argparse.Action):
-    """Checks like _limit: ValueError passes argparse, so main exits 1, not 2."""
+    """Stores a non-negative integer; any other value raises ValueError, which
+    argparse lets through, so main exits 1, not 2."""
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, _limit(values, option_string))
+        try:
+            value = int(values)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise ValueError(f"{option_string} must be a non-negative integer, got {values!r}")
+        setattr(namespace, self.dest, value)
 
 
 def _emit(args, doc: dict, text: str) -> None:

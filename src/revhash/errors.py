@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one resource limit."""
+
+# log2 of the most states an exhaustive sweep, cubes a minterm expansion, or
+# branches or leaf assignments a deduction search may reach.
+EXHAUSTIVE_LIMIT = 20
 
 
 class PlaParseError(ValueError):
@@ -21,3 +25,13 @@ class PlaLexicalError(PlaParseError):
 
 class ResourceLimitError(RuntimeError):
     """An exhaustive operation would exceed its configured budget."""
+
+
+def check_limit(count: int, limit: int, what: str) -> None:
+    """Raise ResourceLimitError, naming `what`, when count > 2^limit.
+
+    The count is shifted down instead of 2^limit being built, so a huge
+    limit costs no memory.
+    """
+    if (count - 1) >> limit > 0:
+        raise ResourceLimitError(f"{what} exceed limit 2^{limit}")

@@ -42,13 +42,11 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import ResourceLimitError
+from .errors import EXHAUSTIVE_LIMIT, check_limit
 from .pla import Cube, PlaFunction, check_cubes, int_to_bits, parse_pla, write_pla
 
 # minimize stops after this many sweeps; perm12 needs 13, the corpus at most 10.
 MAX_SWEEPS = 64
-# from_pla gives up past this many generated minterm cubes.
-DEFAULT_EXPANSION_BUDGET = 1 << 24
 
 # Internal cube form: (care_mask, value_mask, output_mask) ints.
 _MaskCube = tuple[int, int, int]
@@ -99,16 +97,15 @@ def from_pla(f: PlaFunction | EsopCover) -> EsopCover:
     OR), drops all-zero-output minterms, and orders rows by input value.
     A minterm row whose output is its state's output is kept as read.
     On the result, XOR evaluation equals the original's OR evaluation.
-    An EsopCover is returned unchanged.
+    An EsopCover is returned unchanged. Raises ResourceLimitError, before
+    expanding anything, when the rows span more than 2^EXHAUSTIVE_LIMIT states.
     """
     if isinstance(f, EsopCover):
         return f
     steps = 0
     for cu in f.cubes:
         steps += 1 << (f.n - cu.num_literals)
-        if steps > DEFAULT_EXPANSION_BUDGET:
-            raise ResourceLimitError(
-                f"disjoint expansion needs {steps}+ cubes, budget is {DEFAULT_EXPANSION_BUDGET}")
+        check_limit(steps, EXHAUSTIVE_LIMIT, "minterm expansion cubes")
 
     acc: dict[int, int] = {}
     full = (1 << f.n) - 1

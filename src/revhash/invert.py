@@ -58,9 +58,9 @@ import time
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .errors import ResourceLimitError
+from .errors import EXHAUSTIVE_LIMIT, check_limit
 from .pla import bits_to_int, int_to_bits
-from .sim import EXHAUSTIVE_LIMIT, _columns, _mismatch, forward_words
+from .sim import _columns, _mismatch, forward_words
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,6 @@ class _Search:
     def solve(self) -> None:
         self._visit(self.t.all_preds, 0, 0)
 
-    def _over_budget(self, what: str, count: int) -> None:
-        if count > 1 << self.limit:
-            raise ResourceLimitError(f"deduction {what} exceed limit 2^{self.limit}")
-
     def _visit(self, alive: int, assigned: int, value: int) -> None:
         t = self.t
         state = self._propagate(alive, assigned, value)
@@ -248,14 +244,14 @@ class _Search:
         free = t.all_vars & ~assigned
         if free.bit_count() <= LEAF_VARS:
             self.leaf_assignments += 1 << free.bit_count()
-            self._over_budget("leaf assignments", self.leaf_assignments)
+            check_limit(self.leaf_assignments, self.limit, "deduction leaf assignments")
             self._leaf(alive, free, value)
             return
         bit = free & -free
         survive = t.survive[bit.bit_length() - 1]
         for b in (0, 1):
             self.branches += 1
-            self._over_budget("branches", self.branches)
+            check_limit(self.branches, self.limit, "deduction branches")
             self._visit(alive & survive[b], assigned | bit, value | (bit if b else 0))
             if self.first_only and self.solutions:
                 return

@@ -20,9 +20,10 @@ all still hold their start words (swept lines no earlier gate of the run
 has targeted): the AND of those words is the cube of the gate's control
 polarities, a few passes over a word where the AND takes one or two per
 control. Other gates AND the words of the lines in their masks.
-One limit bounds every sweep: `EXHAUSTIVE_LIMIT` is the log2 of the number
-of states a sweep may cover, and one check, `_check_limit`, raises
-`ResourceLimitError` before any word is built.
+One limit bounds every sweep, as it bounds minterm expansion and
+deduction: `errors.EXHAUSTIVE_LIMIT` is the log2 of the number of states a
+sweep may cover, and `errors.check_limit` raises `ResourceLimitError`
+before any word is built.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -37,14 +38,12 @@ import enum
 import operator
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .circuit import Circuit, Gate, mask_lines
-from .errors import ResourceLimitError
+from .errors import EXHAUSTIVE_LIMIT, check_limit
 from .esop import EsopCover
 from .pla import PlaFunction, bits_to_int, int_to_bits
-
-# log2 of the number of states an exhaustive sweep may cover.
-EXHAUSTIVE_LIMIT = 20
 
 
 class VerifyMode(enum.Enum):
@@ -92,11 +91,6 @@ def run(c: Circuit, state: str) -> str:
     return int_to_bits(s, c.width)
 
 
-def _check_limit(n: int, limit: int) -> None:
-    if n > limit:
-        raise ResourceLimitError(f"exhaustive sweep over 2^{n} states exceeds limit 2^{limit}")
-
-
 def _cube_word(care: int, value: int, n: int) -> int:
     """The word whose bit s is set iff s & care == value, for s in 0..2^n-1.
 
@@ -113,7 +107,7 @@ def _cube_word(care: int, value: int, n: int) -> int:
 
 def _line_patterns(n: int, limit: int) -> list[int]:
     """The start words of a sweep over all 2^n states, one per line."""
-    _check_limit(n, limit)
+    check_limit(1 << n, limit, f"the 2^{n} states of a sweep")
     return [_cube_word(1 << line, 1 << line, n) for line in range(n)]
 
 
@@ -147,7 +141,7 @@ def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
         return _run_words(fn.gates, start, (1 << (1 << n)) - 1, n, n)[n:]
     if not isinstance(fn, (PlaFunction, EsopCover)):
         raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
-    _check_limit(fn.n, limit)
+    check_limit(1 << fn.n, limit, f"the 2^{fn.n} states of a sweep")
     op, full = operator.xor if isinstance(fn, EsopCover) else operator.or_, (1 << fn.n) - 1
     cubes = [cu for cu in fn.cubes if cu.output_mask]
     steps = sum(1 + cu.output_mask.bit_count() for cu in cubes if cu.care_mask == full)
@@ -192,15 +186,16 @@ _BIT_CHARS = [bytes(0x31 if (x >> b) & 1 else 0x30 for x in range(256)) for b in
 def _columns(rows: list[int], width: int) -> list[int]:
     """Transpose a bit matrix: column v has bit p set iff rows[p] has bit v.
 
-    The rows are packed into bytes once and each column is read out with
-    C-level slicing, `bytes.translate` and a base-2 `int` parse, so the cost
-    is one Python step per row plus linear byte work per column, where
-    OR-ing bits one at a time into a growing int is quadratic.
+    The rows are packed into bytes once, `int.to_bytes` mapped over them
+    without a Python step per row, and each column is read out with C-level
+    slicing, `bytes.translate` and a base-2 `int` parse, so the cost is
+    linear byte work per row and per column, where OR-ing bits one at a
+    time into a growing int is quadratic.
     """
     if not rows:
         return [0] * width
     stride = (width + 7) >> 3
-    packed = b"".join(row.to_bytes(stride, "little") for row in rows)
+    packed = b"".join(map(int.to_bytes, rows, repeat(stride), repeat("little")))
     return [int(packed[v >> 3::stride].translate(_BIT_CHARS[v & 7])[::-1], 2) for v in range(width)]
 
 
@@ -229,7 +224,7 @@ def verify_identity(
     gates = (*forward.gates, *reversed_circuit.gates)
 
     if mode is VerifyMode.EXHAUSTIVE:
-        _check_limit(width, width_limit)
+        check_limit(1 << width, width_limit, f"the 2^{width} states of a sweep")
         controls = 0
         for g in gates:
             controls |= g.positive_mask | g.negative_mask

@@ -304,6 +304,14 @@ def test_invert_below_limit_skips_crosscheck(corpus_dir, capsys):
     assert json.loads(capsys.readouterr().out)["preimages"] == ["0110"]
 
 
+def test_invert_huge_limit(corpus_dir, capsys):
+    # The bound 2^limit is never built, so a limit far past memory still works.
+    code = main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "1001",
+                 "--exhaustive-limit", "1000000000000", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["preimages"] == ["0110"]
+
+
 @pytest.mark.parametrize("deducer, wrong, flags", [
     ("preimages_deduce", lambda c, y, limit: invert.PreimageResult(y, ("0000",), "deduction", 0, 0, 0.0), []),
     ("preimage_one", lambda c, y, limit: "0000", ["--first"]),
@@ -338,33 +346,6 @@ def test_resource_limit_exit_code(tmp_path):
     pla = tmp_path / "wide.pla"
     pla.write_text(".i 30\n.o 1\n" + "-" * 30 + " 1\n.e\n")
     assert main(["synth", str(pla)]) == 2
-
-
-def test_exhaustive_limit_env(monkeypatch, corpus_dir):
-    monkeypatch.setenv("REVHASH_EXHAUSTIVE_LIMIT", "4")
-    # Width 8 demo exceeds the forced limit of 4, so verification samples
-    # rather than failing; exit stays 0.
-    assert main(["verify", str(corpus_dir / "demo_hash4.pla"), "--samples", "64"]) == 0
-
-
-@pytest.mark.parametrize("value", ["abc", "-3"])
-def test_exhaustive_limit_env_rejects_bad_value(monkeypatch, corpus_dir, capsys, value):
-    monkeypatch.setenv("REVHASH_EXHAUSTIVE_LIMIT", value)
-    assert main(["analyze", str(corpus_dir / "demo_hash4.pla")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "REVHASH_EXHAUSTIVE_LIMIT" in err
-
-
-@pytest.mark.parametrize("argv", [["--help"], ["synth", "demo_hash4.pla"]])
-def test_exhaustive_limit_env_ignored_without_sweep(monkeypatch, corpus_dir, capsys, argv):
-    monkeypatch.setenv("REVHASH_EXHAUSTIVE_LIMIT", "abc")
-    monkeypatch.chdir(corpus_dir)
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # --help
-        code = exc.code
-    assert code == 0
-    assert "REVHASH_EXHAUSTIVE_LIMIT" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -69,10 +70,14 @@ def test_from_pla_overlap_is_or():
 
 
 def test_from_pla_budget(monkeypatch):
-    monkeypatch.setattr(esop, "DEFAULT_EXPANSION_BUDGET", 1000)
-    f = PlaFunction(n=20, m=1, cubes=(Cube("-" * 20, "1"),))
-    with pytest.raises(ResourceLimitError):
+    # One all-dash row at n = 21 spans 2^21 minterms, past the 2^20 limit:
+    # refused before any is expanded, where building them took seconds.
+    monkeypatch.setattr(esop, "Cube", mock.Mock(side_effect=AssertionError("a cube was built")))
+    f = PlaFunction(n=21, m=1, cubes=(Cube("-" * 21, "1"),))
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="exceed limit 2\\^20"):
         from_pla(f)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def minterm_cubes(n: int, m: int, cubes) -> tuple[Cube, ...]:

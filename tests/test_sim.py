@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from revhash.analyze import avalanche_check, collision_scan
 from revhash.circuit import Circuit, Gate
-from revhash.cli import ENV_LIMIT, build_parser
+from revhash.cli import build_parser
 from revhash.errors import ResourceLimitError
 from revhash.esop import EsopCover, from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
@@ -296,7 +296,7 @@ def test_forward_words_matches_single_state_run(c):
         assert _word_bits(words, s) == run(c, x + "0" * c.num_outputs)[c.num_inputs:]
 
 
-def test_one_exhaustive_limit(monkeypatch):
+def test_one_exhaustive_limit():
     defaults = {
         fn.__name__: inspect.signature(fn).parameters[param].default
         for fn, param in ((forward_words, "limit"), (truth_table, "limit"),
@@ -305,7 +305,6 @@ def test_one_exhaustive_limit(monkeypatch):
                           (preimage_one, "limit"), (avalanche_check, "limit"),
                           (collision_scan, "limit"))
     }
-    monkeypatch.delenv(ENV_LIMIT, raising=False)
     defaults["--exhaustive-limit"] = build_parser().parse_args(["analyze", "f.pla"]).exhaustive_limit
     assert defaults == dict.fromkeys(defaults, EXHAUSTIVE_LIMIT)
 
