@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop gate K from the forward circuit first (fault-injection check)")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
     p.add_argument("--samples", type=int, default=10_000,
-                   help="sample count when the width exceeds the exhaustive limit")
+                   help=f"sample count, at most 2^{EXHAUSTIVE_LIMIT}, when the width exceeds the exhaustive limit")
     _limit_flag(p)
     _format_flag(p)
     p.set_defaults(func=cmd_verify)

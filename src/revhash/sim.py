@@ -15,15 +15,14 @@ state, which `_columns` transposes into words. Every other word a sweep
 starts from is built by `_cube_word`, the set of states s with s & care ==
 value, by doubling one state once per don't-care position: a cover row's
 match word (a minterm's too, when not folded), a line's start word (the
-cube of that line at 1), and the fire word of a gate with controls that
-all still hold their start words (swept lines no earlier gate of the run
-has targeted): the AND of those words is the cube of the gate's control
-polarities, a few passes over a word where the AND takes one or two per
-control. Other gates AND the words of the lines in their masks.
-One limit bounds every sweep, as it bounds minterm expansion and
-deduction: `errors.EXHAUSTIVE_LIMIT` is the log2 of the number of states a
-sweep may cover, and `errors.check_limit` raises `ResourceLimitError`
-before any word is built.
+cube of that line at 1), and the fire word of a gate with controls that all
+still hold their start words (swept lines no earlier gate has targeted):
+the AND of those words is the cube of the gate's control polarities, a few
+passes over a word where the AND takes one or two per control. Other gates
+AND the words of the lines in their masks. Synthesis emits a cube's gates,
+one per output 1-bit, as a run with equal masks: the kernel builds a run's
+fire word once and XORs it into each target. `errors.check_limit` bounds
+each sweep at 2^`errors.EXHAUSTIVE_LIMIT` states before any word is built.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -112,18 +111,23 @@ def _line_patterns(n: int, limit: int) -> list[int]:
 
 
 def _run_words(gates, words: list[int], mask: int, lanes: int, n: int) -> list[int]:
-    """Apply gates in order; lines 0..lanes-1 start at `_line_patterns(n)`."""
-    words, fresh = list(words), (1 << lanes) - 1
+    """Apply gates in order, one fire word per run of gates with equal masks.
+
+    Lines 0..lanes-1 start at `_line_patterns(n)`. No gate targets its own
+    controls, so a run changes neither their words nor their freshness.
+    """
+    words, fresh, pos, neg = list(words), (1 << lanes) - 1, None, None
     for g in gates:
-        controls = g.positive_mask | g.negative_mask
-        if controls and controls & fresh == controls:
-            fire = _cube_word(controls, g.positive_mask, n)
-        else:
-            fire = mask
-            for line in mask_lines(g.positive_mask):
-                fire &= words[line]
-            for line in mask_lines(g.negative_mask):
-                fire &= ~words[line]
+        if g.positive_mask != pos or g.negative_mask != neg:  # a run starts
+            pos, neg = g.positive_mask, g.negative_mask
+            if (controls := pos | neg) and controls & fresh == controls:
+                fire = _cube_word(controls, pos, n)
+            else:
+                fire = mask
+                for line in mask_lines(pos):
+                    fire &= words[line]
+                for line in mask_lines(neg):
+                    fire &= ~words[line]
         words[g.target] ^= fire
         fresh &= ~(1 << g.target)
     return words
@@ -215,12 +219,12 @@ def verify_identity(
     fire words depend on R alone, so a state fails iff its R part fails
     with every other line 0: R's lines must return to their start words
     and every other line must end at 0. The counterexample is the lowest
-    failing state. Sampled mode draws `samples` >= 1 seeded pseudo-random states.
+    failing state. Sampled mode draws `samples` seeded random states, 1 to 2^EXHAUSTIVE_LIMIT.
     """
     if forward.width != reversed_circuit.width:
         raise ValueError("circuit widths differ")
     width = forward.width
-    # One gate run, so a line the forward gates target stays off the cube path.
+    # One gate sequence, so a line the forward gates target stays off the cube path.
     gates = (*forward.gates, *reversed_circuit.gates)
 
     if mode is VerifyMode.EXHAUSTIVE:
@@ -236,6 +240,7 @@ def verify_identity(
     elif samples < 1:
         raise ValueError(f"a sampled check needs samples >= 1, got {samples}")
     else:
+        check_limit(samples, EXHAUSTIVE_LIMIT, "sampled states")
         rng = random.Random(seed)
         states = [rng.getrandbits(width) for _ in range(samples)]
         start = _columns(states, width)

@@ -180,6 +180,13 @@ def test_verify_sampled_needs_a_sample(corpus_dir, capsys, samples):
     assert err.startswith("error: ") and "samples" in err
 
 
+def test_verify_sample_count_over_limit_exit_code(corpus_dir, capsys):
+    # The width 8 is over the exhaustive limit 4, so verify samples; 2^40 draws are refused.
+    assert main(["verify", str(corpus_dir / "demo_hash4.pla"), "--samples", str(1 << 40),
+                 "--exhaustive-limit", "4"]) == 2
+    assert capsys.readouterr().err.startswith("resource limit: sampled states")
+
+
 def test_verify_mutation_fails(corpus_dir):
     assert main(["verify", str(corpus_dir / "aes4_sbox.pla"), "--mutate-drop-gate", "0"]) == 3
 

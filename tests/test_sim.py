@@ -1,5 +1,7 @@
 import inspect
 import random
+import time
+from itertools import groupby
 from unittest import mock
 
 import pytest
@@ -160,6 +162,14 @@ def test_verify_identity_sampled_needs_a_sample(samples):
     c = demo_circuit()
     with pytest.raises(ValueError, match="samples"):
         verify_identity(c, reverse(c), mode=VerifyMode.SAMPLED, samples=samples)
+
+
+def test_verify_identity_sample_count_limit():
+    c = demo_circuit()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="sampled states"):
+        verify_identity(c, reverse(c), mode=VerifyMode.SAMPLED, samples=1 << 40)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_identity_sampled_detects_mutation():
@@ -411,14 +421,80 @@ def test_verify_identity_uncontrolled_not_fires_everywhere():
     _assert_identity(forward, forward.with_gates(inverse[:2]), False)
 
 
+def _masks(g):
+    return g.positive_mask, g.negative_mask
+
+
 @pytest.mark.parametrize("name, minimized", [("aes4_sbox", False), ("des_sbox1", True)])
 def test_dropping_any_gate_fails_both_checks(name, minimized):
     f = dict(corpus.corpus_functions())[name]
     cover = from_pla(f)
     c = synthesize(minimize(cover) if minimized else cover)
+    # Some drops fall inside a run of gates that share one fire word.
+    assert max(len(list(same)) for _, same in groupby(c.gates, _masks)) >= 3
     r = reverse(c)
     assert verify_identity(c, r).passed and verify_against_spec(c, f).passed
     for k in range(len(c.gates)):
         mutated = c.with_gates(c.gates[:k] + c.gates[k + 1:])
         assert not verify_identity(mutated, r).passed, k
         assert not verify_against_spec(mutated, f).passed, k
+
+
+@st.composite
+def gate_runs(draw, max_width=7):
+    """A circuit drawn as runs, each one control set on 1-4 targets in a row:
+    uncontrolled NOTs, a target twice in one run (the pair cancels), and
+    controls on lines an earlier run targeted, which the kernel must AND."""
+    n = draw(st.integers(1, min(6, max_width - 1)))
+    m = draw(st.integers(1, min(3, max_width - n)))
+    lines, gates, targeted = range(n + m), [], []
+    for _ in range(draw(st.integers(0, 5))):
+        controls = draw(st.lists(st.sampled_from(lines), unique=True, max_size=min(3, n + m - 2)))
+        if targeted and draw(st.booleans()) and targeted[-1] not in controls:
+            controls.append(targeted[-1])
+        split = draw(st.integers(0, len(controls)))
+        others = [line for line in lines if line not in controls]
+        for t in draw(st.lists(st.sampled_from(others), min_size=1, max_size=4)):
+            gates.append(Gate(t, controls[:split], controls[split:]))
+            targeted.append(t)
+    return Circuit(num_inputs=n, num_outputs=m, gates=gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_runs())
+@example(Circuit(num_inputs=2, num_outputs=2, gates=[NOT(2), NOT(3), NOT(2), CNOT(2, 0), CNOT(2, 3)]))
+@example(Circuit(num_inputs=3, num_outputs=2, gates=[
+    Gate(3, {0}, {1}), Gate(4, {0}, {1}), Gate(3, {0}, {1}), Gate(1, {3}), Gate(2, {3})]))
+def test_forward_words_shares_fire_words_across_runs(c):
+    words = forward_words(c)
+    for s in range(1 << c.num_inputs):
+        x = int_to_bits(s, c.num_inputs)
+        assert _word_bits(words, s) == run(c, x + "0" * c.num_outputs)[c.num_inputs:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_runs(), st.sampled_from(["same", "drop", "insert"]), st.data())
+def test_verify_identity_shares_fire_words_across_runs(c, variant, data):
+    gates = list(reverse(c).gates)
+    # A gate that shares its masks with a neighbour is inside a run.
+    inside = [k for k, g in enumerate(gates)
+              if any(_masks(g) == _masks(h) for h in gates[max(k - 1, 0):k] + gates[k + 1:k + 2])]
+    if variant != "same" and gates:
+        k = data.draw(st.sampled_from(inside or range(len(gates))))
+        if variant == "drop":
+            del gates[k]
+        else:
+            g = gates[k]
+            t = data.draw(st.sampled_from(sorted(set(range(c.width)) - g.lines) or [g.target]))
+            gates.insert(k + data.draw(st.integers(0, 1)),
+                         Gate(t, g.positive_controls, g.negative_controls))
+    rev = c.with_gates(gates)
+    failing = _lowest_failing_state(c, rev)
+    exhaustive = verify_identity(c, rev)
+    assert (exhaustive.passed, exhaustive.counterexample) == (failing is None, failing)
+    # At seed 3, 4096 samples draw every state of a width <= 7, so the verdicts agree.
+    sampled = verify_identity(c, rev, mode=VerifyMode.SAMPLED, samples=4096, seed=3)
+    assert sampled.passed == (failing is None)
+    if failing is not None:
+        s = sampled.counterexample
+        assert run(rev, run(c, s)) != s
