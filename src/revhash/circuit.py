@@ -13,9 +13,12 @@ are immutable; every rewrite returns a new one.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
+from .errors import EXHAUSTIVE_LIMIT, check_limit
 from .esop import EsopCover
+from .pla import _Frozen, _new
 
 
 def mask_lines(mask: int) -> list[int]:
@@ -23,7 +26,18 @@ def mask_lines(mask: int) -> list[int]:
     return [line for line, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-class Gate:
+def _view(slot: str, build) -> property:
+    """A property over the private `slot`, which `build(gate)` fills on first read."""
+    def read(gate):
+        try:
+            return getattr(gate, slot)
+        except AttributeError:
+            object.__setattr__(gate, slot, view := build(gate))
+            return view
+    return property(read)
+
+
+class Gate(_Frozen):
     """A NOT (no controls), CNOT (one), Toffoli (two) or generalized Toffoli gate.
 
     `Gate(target, positive_controls, negative_controls)` takes any iterables of
@@ -35,6 +49,7 @@ class Gate:
     # empty slots would make every attribute read, the masks' too, 2x slower.
     __slots__ = ("target", "positive_mask", "negative_mask", "control_count",
                  "_positive", "_negative", "_lines")
+    _key = attrgetter("target", "positive_mask", "negative_mask")
 
     def __new__(cls, target: int, positive_controls=frozenset(), negative_controls=frozenset()):
         pos, neg = frozenset(positive_controls), frozenset(negative_controls)
@@ -60,57 +75,16 @@ class Gate:
         _set_count(gate, control_count)
         return gate
 
-    @property
-    def positive_controls(self) -> frozenset[int]:
-        try:
-            return self._positive
-        except AttributeError:
-            _set_positive(self, view := frozenset(mask_lines(self.positive_mask)))
-            return view
-
-    @property
-    def negative_controls(self) -> frozenset[int]:
-        try:
-            return self._negative
-        except AttributeError:
-            _set_negative(self, view := frozenset(mask_lines(self.negative_mask)))
-            return view
-
-    @property
-    def lines(self) -> frozenset[int]:
-        try:
-            return self._lines
-        except AttributeError:
-            _set_lines(self, view := self.positive_controls | self.negative_controls | {self.target})
-            return view
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.target, self.positive_mask, self.negative_mask) == (
-            other.target, other.positive_mask, other.negative_mask)
-
-    def __hash__(self):
-        return hash((self.target, self.positive_mask, self.negative_mask))
+    positive_controls = _view("_positive", lambda g: frozenset(mask_lines(g.positive_mask)))
+    negative_controls = _view("_negative", lambda g: frozenset(mask_lines(g.negative_mask)))
+    lines = _view("_lines", lambda g: g.positive_controls | g.negative_controls | {g.target})
 
     def __repr__(self):
         return (f"Gate(target={self.target!r}, positive_controls={self.positive_controls!r}, "
                 f"negative_controls={self.negative_controls!r})")
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Gate.from_masks, (self.target, self.positive_mask, self.negative_mask, self.control_count)
-
-
-# Slot setters bypass the frozen __setattr__.
-_new = object.__new__
-_set_target, _set_pmask, _set_nmask, _set_count, _set_positive, _set_negative, _set_lines = (
-    getattr(Gate, slot).__set__ for slot in Gate.__slots__)
+_set_target, _set_pmask, _set_nmask, _set_count = (getattr(Gate, slot).__set__ for slot in Gate.__slots__[:4])
 
 
 @dataclass(frozen=True)
@@ -132,6 +106,7 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_inputs < 0 or self.num_outputs < 0 or self.width < 1:
             raise ValueError("circuit needs at least one line")
+        check_limit(self.width, EXHAUSTIVE_LIMIT, f"the {self.width} lines of a circuit")
         # Targets are compared, never shifted: a huge one must not build a word.
         controls, top = 0, -1
         for g in self.gates:

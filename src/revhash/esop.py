@@ -38,26 +38,22 @@ returns the cover an all-pairs scan returns.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import EXHAUSTIVE_LIMIT, check_limit
-from .pla import Cube, PlaFunction, check_cubes, int_to_bits, parse_pla, write_pla
+from .pla import Cube, PlaFunction, check_cubes, parse_pla, write_pla
 
 # minimize stops after this many sweeps; perm12 needs 13, the corpus at most 10.
 MAX_SWEEPS = 64
-
-# Internal cube form: (care_mask, value_mask, output_mask) ints.
-_MaskCube = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class EsopCover:
     """Cube list under XOR interpretation.
 
-    Identical cubes XOR to nothing, so duplicate (inputs, outputs) pairs
-    cancel at construction; a stored cover never contains two equal rows.
+    Identical cubes XOR to nothing, so equal cubes cancel in pairs at
+    construction; a stored cover never contains two equal rows.
     """
 
     n: int
@@ -66,13 +62,10 @@ class EsopCover:
 
     def __post_init__(self):
         check_cubes(self.n, self.m, self.cubes)
-        # Cubes compare as their (inputs, outputs) pairs, which hash faster.
-        if len(set(map(attrgetter("inputs", "outputs"), self.cubes))) == len(self.cubes):
-            return
-        counts: dict[Cube, int] = {}
-        for c in self.cubes:
-            counts[c] = counts.get(c, 0) + 1
-        object.__setattr__(self, "cubes", tuple(c for c, k in counts.items() if k % 2))
+        # The keys cubes compare by, hashed with no Python call per cube.
+        if len(set(map(Cube._key, self.cubes))) < len(self.cubes):
+            counts = Counter(self.cubes)
+            object.__setattr__(self, "cubes", tuple(c for c, k in counts.items() if k % 2))
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ def from_pla(f: PlaFunction | EsopCover) -> EsopCover:
             sub = (sub - free) & free
     cubes = tuple(
         row if (row := rows.get(x)) is not None and row.output_mask == out
-        else Cube(int_to_bits(x, f.n), int_to_bits(out, f.m))
+        else Cube.from_masks(full, x, out, f.n, f.m)
         for x, out in sorted(acc.items())
         if out
     )
@@ -159,16 +152,8 @@ def minimize(c: EsopCover) -> EsopCover:
         ((care & ~val, care, val), out) for (care, val), out in live.items()
     )
     return EsopCover(n=n, m=c.m, cubes=tuple(
-        Cube(_cube_text(care, val, n), int_to_bits(out, c.m))
-        for (_zeros, care, val), out in ordered
+        Cube.from_masks(care, val, out, n, c.m) for (_zeros, care, val), out in ordered
     ))
-
-
-def _cube_text(care: int, val: int, n: int) -> str:
-    return "".join(
-        ("1" if (val >> i) & 1 else "0") if (care >> i) & 1 else "-"
-        for i in range(n)
-    )
 
 
 class _Live(dict):
@@ -194,8 +179,8 @@ class _Live(dict):
         return out
 
 
-def _reduce(cubes: list[_MaskCube], n: int) -> _Live:
-    """Fold/merge a cube list to a d0/d1 fixpoint; keys are (care, value)."""
+def _reduce(cubes: list[tuple[int, int, int]], n: int) -> _Live:
+    """Fold/merge (care, value, output) cubes to a d0/d1 fixpoint; keys are (care, value)."""
     live = _Live()
     queue = deque(cubes)
     while queue:

@@ -5,7 +5,8 @@ carries n input literals over {0,1,-} and m output bits; '-' in an input
 means the row matches either value at that position. Directives handled:
 .i .o .p .ilb .ob .type .e — anything else is skipped with a warning.
 Output-field '-' and '~' are normalized to '0' at parse time (a hash table
-ought to be fully specified), also with a warning.
+ought to be fully specified), also with a warning. A row is held as a `Cube`
+of masks, which the parser computes once, after its own checks.
 
 Bit-vector convention used throughout the package: strings of '0'/'1'
 where index 0 is the leftmost character and names variable/line 0. When
@@ -14,39 +15,90 @@ such a vector is packed into an int, bit i of the int is character i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 
-from .errors import PlaLexicalError, PlaParseError, PlaStructureError
+from .errors import EXHAUSTIVE_LIMIT, PlaLexicalError, PlaParseError, PlaStructureError, check_limit
 
 _INPUT_CHARS = frozenset("01-")
 _OUTPUT_CHARS = frozenset("01-~")
 _CARE = str.maketrans("01-", "110")
 
 
-@dataclass(frozen=True)
-class Cube:
-    """One cover row: input literals (as a string over 01-) plus output bits."""
+class _Frozen:
+    """Base of the slotted value types `Cube` and `circuit.Gate`: fields are set
+    once, through the slots' setters; equality and hash go by `_key`; copies
+    and pickles are rebuilt by `from_masks` from the public slots, in order."""
 
-    inputs: str
-    outputs: str
-    # Bit i set iff input i is not '-' (care), input i is '1' (value), output bit i is 1.
-    care_mask: int = field(init=False, repr=False, compare=False)
-    value_mask: int = field(init=False, repr=False, compare=False)
-    output_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.inputs.strip("01-"):
-            bad = set(self.inputs) - _INPUT_CHARS
-            raise ValueError(f"invalid input literal(s) {sorted(bad)} in {self.inputs!r}")
-        rev = self.inputs[::-1] or "0"  # holds only 01-, so int() reads the masks as is
-        object.__setattr__(self, "care_mask", int(rev.translate(_CARE), 2))
-        object.__setattr__(self, "value_mask", int(rev.replace("-", "0"), 2))
-        object.__setattr__(self, "output_mask", bits_to_int(self.outputs))
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.from_masks, tuple(getattr(self, slot) for slot in self.__slots__ if slot[0] != "_")
+
+
+class Cube(_Frozen):
+    """One cover row on n inputs and m outputs, stored as masks: bit i of
+    `care_mask` is set iff input i is not '-', of `value_mask` iff it is '1',
+    and of `output_mask` iff output bit i is 1. `Cube(inputs, outputs)` checks
+    the row's strings, `Cube.from_masks` trusts its caller, and `inputs` and
+    `outputs` are built on each read. Equality and hash go by the masks and
+    the widths: `Cube("0-", "1")` and `Cube("0", "1")` share their masks."""
+
+    __slots__ = ("care_mask", "value_mask", "output_mask", "n", "m")
+    _key = attrgetter(*__slots__)
+
+    def __new__(cls, inputs: str, outputs: str):
+        if inputs.strip("01-"):
+            raise ValueError(f"invalid input literal(s) {sorted(set(inputs) - _INPUT_CHARS)} in {inputs!r}")
+        rev = inputs[::-1] or "0"  # holds only 01-, so int() reads the masks as is
+        care, value = int(rev.translate(_CARE), 2), int(rev.replace("-", "0"), 2)
+        return cls.from_masks(care, value, bits_to_int(outputs), len(inputs), len(outputs))
+
+    @classmethod
+    def from_masks(cls, care_mask: int, value_mask: int, output_mask: int, n: int, m: int) -> Cube:
+        """The cube with these masks, unchecked: value_mask within care_mask < 2^n, output_mask < 2^m."""
+        cube = _new(cls)
+        _set_care(cube, care_mask)
+        _set_value(cube, value_mask)
+        _set_output(cube, output_mask)
+        _set_n(cube, n)
+        _set_m(cube, m)
+        return cube
+
+    @property
+    def inputs(self) -> str:
+        values = int_to_bits(self.value_mask, self.n)
+        return values if self.care_mask.bit_count() == self.n else "".join(  # a minterm has no dash
+            v if c == "1" else "-" for c, v in zip(int_to_bits(self.care_mask, self.n), values))
+
+    @property
+    def outputs(self) -> str:
+        return int_to_bits(self.output_mask, self.m)
 
     @property
     def num_literals(self) -> int:
         """Number of non-don't-care input positions."""
         return self.care_mask.bit_count()
+
+    def __repr__(self):
+        return f"Cube(inputs={self.inputs!r}, outputs={self.outputs!r})"
+
+
+# Slot setters bypass the frozen __setattr__.
+_new = object.__new__
+_set_care, _set_value, _set_output, _set_n, _set_m = (getattr(Cube, slot).__set__ for slot in Cube.__slots__)
 
 
 @dataclass(frozen=True)
@@ -67,11 +119,13 @@ class PlaFunction:
 
 
 def check_cubes(n: int, m: int, cubes) -> None:
-    """Raise ValueError unless n, m >= 1 and every cube has n inputs and m outputs."""
+    """Raise ValueError unless n, m >= 1 and every cube has n inputs and m outputs,
+    and ResourceLimitError past 2^EXHAUSTIVE_LIMIT lines, before anything shifts by n."""
     if n < 1 or m < 1:
         raise ValueError(f"arities must be >= 1, got n={n} m={m}")
+    check_limit(n + m, EXHAUSTIVE_LIMIT, f"the {n} + {m} lines of a cover")
     for c in cubes:
-        if len(c.inputs) != n or len(c.outputs) != m:
+        if c.n != n or c.m != m:
             raise ValueError(f"cube {c.inputs} {c.outputs} does not conform to n={n} m={m}")
 
 
@@ -97,7 +151,9 @@ def parse_pla(text: str) -> PlaFunction:
     n = m = None
     declared_rows = None
     cubes: list[Cube] = []
+    make = Cube.from_masks
     input_labels = output_labels = None
+    label_lines = {}  # .ilb/.ob -> line number
     comments: list[str] = []
     warnings: list[str] = []
     normalized_outputs = 0
@@ -124,13 +180,9 @@ def parse_pla(text: str) -> PlaFunction:
             elif directive == ".p":
                 declared_rows = _directive_int(directive, tokens, lineno)
             elif directive == ".ilb":
-                input_labels = tuple(tokens[1:])
-                if n is not None and len(input_labels) != n:
-                    raise PlaStructureError(f".ilb names {len(input_labels)} inputs, .i says {n}", lineno)
+                input_labels, label_lines[directive] = tuple(tokens[1:]), lineno
             elif directive == ".ob":
-                output_labels = tuple(tokens[1:])
-                if m is not None and len(output_labels) != m:
-                    raise PlaStructureError(f".ob names {len(output_labels)} outputs, .o says {m}", lineno)
+                output_labels, label_lines[directive] = tuple(tokens[1:]), lineno
             elif directive == ".type":
                 if len(tokens) > 1 and tokens[1] != "fd":
                     warnings.append(f"line {lineno}: .type {tokens[1]} treated as fd")
@@ -156,10 +208,16 @@ def parse_pla(text: str) -> PlaFunction:
                 raise PlaLexicalError(f"invalid output character(s) {sorted(bad)}", lineno)
             normalized_outputs += out.count("-") + out.count("~")
             out = out.replace("-", "0").replace("~", "0")
-        cubes.append(Cube(inp, out))
+        rev = inp[::-1] or "0"  # the masks as Cube() computes them, once
+        care, value = int(rev.translate(_CARE), 2), int(rev.replace("-", "0"), 2)
+        cubes.append(make(care, value, int(out[::-1] or "0", 2), n, m))
 
     if n is None or m is None:
         raise PlaStructureError("missing .i/.o directives")
+    if input_labels is not None and len(input_labels) != n:
+        raise PlaStructureError(f".ilb names {len(input_labels)} inputs, .i says {n}", label_lines[".ilb"])
+    if output_labels is not None and len(output_labels) != m:
+        raise PlaStructureError(f".ob names {len(output_labels)} outputs, .o says {m}", label_lines[".ob"])
     if declared_rows is not None and declared_rows != len(cubes):
         raise PlaStructureError(f".p declares {declared_rows} rows but {len(cubes)} parsed")
     if not saw_end:
@@ -179,7 +237,7 @@ def parse_pla(text: str) -> PlaFunction:
 
 
 def _directive_int(directive: str, tokens: list[str], lineno: int) -> int:
-    if len(tokens) != 2 or not tokens[1].isdigit():
+    if len(tokens) != 2 or not tokens[1].isdecimal():
         raise PlaStructureError(f"{directive} needs one integer argument", lineno)
     return int(tokens[1])
 

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
 
 from .circuit import Circuit, Gate, line_name, mask_lines
 from .esop import EsopCover
-
-# Byte b of `row.encode().translate(_ONES)` is nonzero iff character b of row is "1".
-_ONES = bytes.maketrans(b"01-", b"\0\1\0")
 
 
 def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
@@ -31,9 +27,10 @@ def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
     The circuit keeps `c` as its `cover`.
     """
     n, make, gates = c.n, Gate.from_masks, []
+    lines = {out: [n + j for j in mask_lines(out)] for out in {cu.output_mask for cu in c.cubes}}
     for cu in c.cubes:
         pos, neg, k = cu.value_mask, cu.care_mask ^ cu.value_mask, cu.care_mask.bit_count()
-        gates += [make(target, pos, neg, k) for target in compress(count(n), cu.outputs.encode().translate(_ONES))]
+        gates += [make(target, pos, neg, k) for target in lines[cu.output_mask]]
     circuit = Circuit(num_inputs=n, num_outputs=c.m, gates=tuple(gates), name=name)
     object.__setattr__(circuit, "cover", c)
     return circuit

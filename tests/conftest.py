@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from revhash import corpus
 from revhash.circuit import Circuit, Gate
+from revhash.errors import check_limit
 from revhash.esop import EsopCover
 from revhash.pla import Cube, PlaFunction, bits_to_int, int_to_bits
-from revhash.sim import EXHAUSTIVE_LIMIT, _apply_gate_int, _columns, forward_words
+from revhash.sim import EXHAUSTIVE_LIMIT, _apply_gate_int, run
 
 
 # Single-state helpers that the tests use as oracles for the wordwise kernels.
@@ -29,14 +30,12 @@ def truth_table(c: Circuit, limit: int = EXHAUSTIVE_LIMIT) -> dict[str, str]:
     """Map every input vector to the circuit's output-line values.
 
     Input lines are driven with each x in turn, output lines start at 0.
+    Each state runs through single-state `run`, not the word kernel, so the
+    table is an oracle for the kernel; 2^n past 2^limit raises as a sweep does.
     """
     n, m = c.num_inputs, c.num_outputs
-    outputs = _columns(forward_words(c, limit), 1 << n)
-    table = {}
-    for i in range(1 << n):
-        x = format(i, f"0{n}b")
-        table[x] = int_to_bits(outputs[bits_to_int(x)], m)
-    return table
+    check_limit(1 << n, limit, f"the 2^{n} states of a sweep")
+    return {x: run(c, x + "0" * m)[n:] for x in (format(i, f"0{n}b") for i in range(1 << n))}
 
 
 def _evaluate(f, x: str, combine) -> str:

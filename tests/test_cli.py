@@ -355,6 +355,35 @@ def test_resource_limit_exit_code(tmp_path):
     assert main(["synth", str(pla)]) == 2
 
 
+HUGE = 99999999999999999999
+HUGE_PLA = f".i {HUGE}\n.o 1\n.e\n"
+HUGE_JSON = json.dumps({"inputs": HUGE, "outputs": 1, "gates": []})
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("huge.pla", HUGE_PLA, ["synth"]),
+    ("huge.pla", HUGE_PLA, ["invert", "--target", "1"]),
+    ("huge.pla", HUGE_PLA, ["analyze"]),
+    ("huge_out.pla", f".i 1\n.o {HUGE}\n.e\n", ["synth"]),
+    ("huge.json", HUGE_JSON, ["invert", "--target", "1"]),
+    ("huge.json", HUGE_JSON, ["invert", "--target", "1", "--brute"]),
+], ids=["pla-synth", "pla-invert", "pla-analyze", "pla-outputs", "json-invert", "json-brute"])
+def test_huge_arity_is_refused_before_any_shift(tmp_path, capsys, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: the ") and "lines of a" in err and "exceed limit 2^20" in err
+
+
+def test_arity_bound_lets_wide_tables_through(tmp_path, capsys):
+    # 30 inputs are far below the arity bound: the cover's own state bound refuses the row.
+    pla = tmp_path / "wide.pla"
+    pla.write_text(".i 30\n.o 1\n" + "-" * 30 + " 1\n.e\n")
+    assert main(["synth", str(pla)]) == 2
+    assert capsys.readouterr().err.startswith("resource limit: minterm expansion cubes exceed")
+
+
 @pytest.mark.parametrize("argv", [
     ["invert", "--target", "1001"], ["verify", "--samples", "64"], ["analyze"],
 ])

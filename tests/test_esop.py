@@ -101,7 +101,7 @@ def test_from_pla_equals_minterms_built_anew(case):
     got = from_pla(PlaFunction(n=n, m=m, cubes=tuple(cubes))).cubes
     want = minterm_cubes(n, m, cubes)
     assert got == want
-    # The masks do not take part in Cube equality, so compare them too.
+    # Cube equality goes by the masks and widths; compare the masks outright too.
     masks = [[(c.care_mask, c.value_mask, c.output_mask) for c in cs] for cs in (got, want)]
     assert masks[0] == masks[1]
 

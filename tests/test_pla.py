@@ -1,7 +1,12 @@
+import copy
+import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revhash.errors import PlaLexicalError, PlaParseError, PlaStructureError
 from revhash.esop import EsopCover
@@ -24,6 +29,38 @@ def test_cube_literal_view():
     assert c.num_literals == 2
     # Character i is bit i: positions 0 and 1 are cared for, position 1 reads 1.
     assert (c.care_mask, c.value_mask) == (0b011, 0b010)
+
+
+rows = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.text("01-", min_size=n, max_size=n), st.integers(1, 6).flatmap(lambda m: st.text("01", min_size=m, max_size=m))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows)
+def test_cube_is_a_value_of_its_masks_and_widths(row):
+    inputs, outputs = row
+    c = Cube(inputs, outputs)
+    masks = (c.care_mask, c.value_mask, c.output_mask)
+    twin = Cube.from_masks(*masks, len(inputs), len(outputs))
+    assert c == twin and hash(c) == hash(twin) and (c.n, c.m) == (len(inputs), len(outputs))
+    assert (c.inputs, c.outputs) == (inputs, outputs) and Cube(c.inputs, c.outputs) == c
+    # One more dash or one more 0 output leaves the masks as they are.
+    for wider in (Cube(inputs + "-", outputs), Cube(inputs, outputs + "0")):
+        assert (wider.care_mask, wider.value_mask, wider.output_mask) == masks
+        assert wider != c and len({wider, c}) == 2
+    for name in ("care_mask", "value_mask", "output_mask", "n", "m", "inputs", "outputs", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(c, name)
+    assert c == twin
+    for copied in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert copied == c and hash(copied) == hash(c) and repr(copied) == repr(c)
+
+
+def test_cubes_of_other_widths_differ():
+    assert Cube("0-", "1") != Cube("0", "1") and len({Cube("0-", "1"), Cube("0", "1")}) == 2
+    assert repr(Cube("0-", "1")) == "Cube(inputs='0-', outputs='1')"
 
 
 def test_function_rejects_nonconforming_cube():
@@ -70,6 +107,27 @@ def test_parse_lexical_error():
         assert exc.value.line == line
     with pytest.raises(ValueError, match=re.escape("invalid input literal(s) ['2'] in '1-2'")):
         Cube("1-2", "1")
+
+
+def test_parse_label_counts_in_any_directive_order():
+    cases = (
+        (".ilb a b c\n.i 2\n.o 1\n11 1\n.e", ".ilb names 3 inputs, .i says 2", 1),
+        (".i 2\n.o 1\n.ilb a b c\n11 1\n.e", ".ilb names 3 inputs, .i says 2", 3),
+        (".i 2\n.ob r s\n.o 1\n11 1\n.e", ".ob names 2 outputs, .o says 1", 2),
+        (".i 2\n.o 1\n\n.ob r s\n11 1\n.e", ".ob names 2 outputs, .o says 1", 4),
+    )
+    for text, message, line in cases:
+        with pytest.raises(PlaStructureError, match=re.escape(f"line {line}: {message}")) as exc:
+            parse_pla(text)
+        assert exc.value.line == line
+
+
+def test_parse_directive_argument_is_decimal():
+    # "²".isdigit() holds, but int() refuses it.
+    for text, line in ((".i \u00b2\n.o 1\n.e", 1), (".i 1\n.o \u00b9\n.e", 2), (".i 1\n.o 1\n.p \u00b3\n.e", 3)):
+        directive = text.splitlines()[line - 1].split()[0]
+        with pytest.raises(PlaStructureError, match=re.escape(f"line {line}: {directive} needs one integer argument")):
+            parse_pla(text)
 
 
 def test_parse_row_count_mismatch():
