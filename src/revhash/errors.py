@@ -35,3 +35,16 @@ def check_limit(count: int, limit: int, what: str) -> None:
     """
     if (count - 1) >> limit > 0:
         raise ResourceLimitError(f"{what} exceed limit 2^{limit}")
+
+
+def checked_count(digits: str, what: str) -> int:
+    """The decimal string `digits` as an int: a count that 2^EXHAUSTIVE_LIMIT bounds.
+
+    Past EXHAUSTIVE_LIMIT + 1 significant digits the count is at least
+    10^(EXHAUSTIVE_LIMIT + 1) > 2^EXHAUSTIVE_LIMIT, so ResourceLimitError,
+    naming `what`, is raised before int(), which refuses long strings.
+    """
+    digits = digits.lstrip("0")
+    if len(digits) > EXHAUSTIVE_LIMIT + 1:
+        raise ResourceLimitError(f"{what} of {len(digits)} digits exceeds limit 2^{EXHAUSTIVE_LIMIT}")
+    return int(digits or "0")

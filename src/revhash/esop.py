@@ -25,15 +25,18 @@ Every accepted move keeps the covered function identical and never grows
 the cube count; sweeps repeat until one yields no accepted move, at most
 MAX_SWEEPS times.
 
-Partners are found by lookup, never by testing every pair. The live cover
-keeps an output index (output -> keys) beside its (care, value) -> output
-dict, so a merge partner for a new cube is looked for among the cubes with
-its output alone, or, when those are many, among the 2n keys at distance 1.
-A sweep groups its snapshot once per input position by the cube with that
-position cleared: the cubes in one group are exactly the pairs at distance
-1 there. Distance-2 partners come from the snapshot's cubes with equal
-outputs. Each cube's partners are visited in all-pairs order, so a sweep
-returns the cover an all-pairs scan returns.
+Inside the minimizer a cube is one int, `care << n | value`, and each cube
+operation is a word operation on it: the positions where two cubes differ,
+and the third symbol written at chosen positions. Partners are found by
+lookup, never by testing every pair. The live cover keeps an output index
+(output -> keys) beside its key -> output dict, so a merge partner for a
+new cube is looked for among the cubes with its output alone, or, when
+those are many, among the 2n keys at distance 1. A sweep groups its
+snapshot once per input position by the key with that position cleared:
+the cubes in one group are exactly the pairs at distance 1 there.
+Distance-2 partners come from the snapshot's cubes with equal outputs.
+Each cube's partners are visited in all-pairs order, so a sweep returns
+the cover an all-pairs scan returns.
 """
 
 from __future__ import annotations
@@ -141,138 +144,117 @@ def minimize(c: EsopCover) -> EsopCover:
     result never has more cubes than the input, and minimizing it again
     returns it unchanged once a sweep went by without an accepted move.
     """
-    n = c.n
-    live = _reduce([(cu.care_mask, cu.value_mask, cu.output_mask) for cu in c.cubes], n)
+    n, low = c.n, (1 << c.n) - 1
+    live = _fold_in(_Live(), n, [(cu.care_mask << n | cu.value_mask, cu.output_mask) for cu in c.cubes])
     for _ in range(MAX_SWEEPS):
         if not _reshape_sweep(live, n):
             break
     # Cube order is semantically free under XOR; group cubes by their
-    # zero-literal set so downstream NOT sandwiches cancel maximally.
-    ordered = sorted(
-        ((care & ~val, care, val), out) for (care, val), out in live.items()
-    )
+    # zero-literal set (care & ~value) so downstream NOT sandwiches cancel
+    # maximally, then by care and then value: the packed key's own order.
+    ordered = sorted(live.items(), key=lambda item: (item[0] >> n & ~item[0], item[0]))
     return EsopCover(n=n, m=c.m, cubes=tuple(
-        Cube.from_masks(care, val, out, n, c.m) for (_zeros, care, val), out in ordered
+        Cube.from_masks(key >> n, key & low, out, n, c.m) for key, out in ordered
     ))
 
 
 class _Live(dict):
-    """The cover being minimized, (care, value) -> output, with an output index.
+    """The cover being minimized, packed key -> output, with an output index.
 
-    `by_out` maps each output to the keys holding it. Change the cover only
-    through `add` and `remove`, which keep the two in step; read it as a dict.
+    A cube on n inputs is keyed by `care << n | value`: bit i is its value
+    and bit n + i its care bit at position i. A value bit is never set
+    without its care bit. `by_out` maps each output to the keys holding it.
+    Change the cover only through `add` and `remove`, which keep the two in
+    step; read it as a dict.
     """
 
     __slots__ = ("by_out",)
 
     def __init__(self):
         super().__init__()
-        self.by_out: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+        self.by_out: defaultdict[int, set[int]] = defaultdict(set)
 
-    def add(self, key: tuple[int, int], out: int) -> None:
+    def add(self, key: int, out: int) -> None:
         self[key] = out
         self.by_out[out].add(key)
 
-    def remove(self, key: tuple[int, int]) -> int:
+    def remove(self, key: int) -> int:
         out = self.pop(key)
         self.by_out[out].remove(key)
         return out
 
 
-def _reduce(cubes: list[tuple[int, int, int]], n: int) -> _Live:
-    """Fold/merge (care, value, output) cubes to a d0/d1 fixpoint; keys are (care, value)."""
-    live = _Live()
+def _fold_in(live: _Live, n: int, cubes) -> _Live:
+    """Fold/merge (key, output) cubes into `live` to a d0/d1 fixpoint."""
     queue = deque(cubes)
     while queue:
-        _insert(live, n, queue)
+        key, out = queue.popleft()
+        if not out:
+            continue
+        if key in live:
+            queue.append((key, live.remove(key) ^ out))
+            continue
+        partner = _d1_partner(live, n, key, out)
+        if partner is not None:
+            live.remove(partner[0])
+            queue.append((partner[1], out))
+        else:
+            live.add(key, out)
     return live
 
 
-def _insert(live: _Live, n: int, queue: deque) -> None:
-    care, val, out = queue.popleft()
-    if not out:
-        return
-    key = (care, val)
-    if key in live:
-        folded = live.remove(key) ^ out
-        if folded:
-            queue.append((care, val, folded))
-        return
-    partner = _d1_partner(live, n, care, val, out)
-    if partner is not None:
-        pkey, (mcare, mval) = partner
-        live.remove(pkey)
-        queue.append((mcare, mval, out))
-        return
-    live.add(key, out)
+def _d1_partner(live: _Live, n, key, out):
+    """The first (key, merged_key) at distance 1 live with outputs `out`, or None.
 
-
-def _d1_partner(live: _Live, n, care, val, out):
-    """The first (key, merged_key) of `_d1_neighbours` live with outputs `out`, or None.
-
-    Scans the cubes with outputs `out` for one at distance 1, keeping the
-    lowest differing position and there the one `_d1_neighbours` yields
-    first. A bucket of more than 4n cubes is looked up through the 2n
-    neighbour keys instead, with the same answer: timed per lookup that
-    finds no partner, the scan costs what the 2n probes cost at about 4n
-    cubes. Single-output covers reach such buckets; on one output bit of
-    perm10 the probe halves `minimize`.
+    First means the lowest position, and there the first `_d1_pair` key. A
+    bucket of up to 4n cubes is scanned for the lowest differing position; a
+    larger one is looked up through the 2n keys at distance 1 instead, with
+    the same answer: timed per lookup that finds no partner, the scan costs
+    what the 2n probes cost at about 4n cubes. Single-output covers reach
+    such buckets; on one output bit of perm10 the probe halves `minimize`.
     """
     bucket = live.by_out.get(out, ())
     if len(bucket) > 4 * n:
-        for pkey, merged in _d1_neighbours(care, val, n):
-            if live.get(pkey) == out:
-                return pkey, merged
+        for i in range(n):
+            x, y = _d1_pair(key, 1 << i, n)
+            if live.get(x) == out:
+                return x, y
+            if live.get(y) == out:
+                return y, x
         return None
     bit = 0
-    for pcare, pval in bucket:
-        diff = _diff_mask(care, val, pcare, pval)
+    for pkey in bucket:
+        diff = _diff(key, pkey, n)
         if diff.bit_count() == 1 and (not bit or diff < bit):
             bit = diff
     if not bit:
         return None
-    x, y = _d1_pair(care, val, bit)
+    x, y = _d1_pair(key, bit, n)
     return (x, y) if x in bucket else (y, x)
 
 
-def _d1_neighbours(care, val, n):
-    """Yield (key, merged_key) for the 2n keys at input distance 1.
+def _d1_pair(key, bit, n):
+    """The two keys at distance 1 at `bit`, in the order 0, 1, dash; each merges with `key` into the other."""
+    if key >> n & bit:
+        return key ^ bit, key & ~(bit << n | bit)
+    return key | bit << n, key | bit << n | bit
 
-    Positions ascend; at each come the other two literals, in the order 0,
-    1, dash, and each merges with the cube into the other one's literal.
+
+def _diff(a: int, b: int, n: int) -> int:
+    """Bit i set iff the literals at position i differ. A value bit is set only
+    under its care bit, so a value difference there means both care."""
+    d = a ^ b
+    return (d | d >> n) & ((1 << n) - 1)
+
+
+def _merge(a: int, b: int, n: int, bits: int) -> int:
+    """`a` with each position in `bits`, where a and b differ, set to the third symbol.
+
+    Both care (0/1) -> dash; one cares -> care, with the opposite of that
+    one's value, which is the one value bit set in a | b there.
     """
-    for i in range(n):
-        x, y = _d1_pair(care, val, 1 << i)
-        yield x, y
-        yield y, x
-
-
-def _d1_pair(care, val, bit):
-    """The two keys at distance 1 at position `bit`, in the order 0, 1, dash."""
-    if care & bit:
-        return (care, val ^ bit), (care ^ bit, val & ~bit)
-    return (care | bit, val), (care | bit, val | bit)
-
-
-def _diff_mask(care_a: int, val_a: int, care_b: int, val_b: int) -> int:
-    """Bit i set iff the literals at position i differ."""
-    return (care_a ^ care_b) | (care_a & care_b & (val_a ^ val_b))
-
-
-def _merged_literal(care_a, val_a, care_b, val_b, bit):
-    """Third symbol at a differing position: (care_bit, value_bit) to apply."""
-    if care_a & bit and care_b & bit:
-        return 0, 0  # 0/1 -> don't-care
-    if care_a & bit:
-        return bit, (~val_a) & bit  # c/- -> opposite of c
-    return bit, (~val_b) & bit
-
-
-def _with_literal(care, val, bit, lit):
-    lcare, lval = lit
-    care = (care & ~bit) | lcare
-    val = (val & ~bit) | (lval & lcare)
-    return care, val
+    care = (a ^ b) >> n & bits
+    return a & ~(bits << n | bits) | care << n | care & ~(a | b)
 
 
 def _reshape_sweep(live: _Live, n: int) -> bool:
@@ -284,106 +266,86 @@ def _reshape_sweep(live: _Live, n: int) -> bool:
     outright or lets a new cube cancel/merge with the remaining cover.
     Returns True if anything was accepted.
 
-    Partners come from the snapshot. For each position, grouping the cubes
-    by their key with that position cleared puts each distance-1 pair there
-    in one group (of at most 3 cubes, one per literal); distance-2 partners
-    come from an output -> indices bucket. Qualifying depends on snapshot
-    values alone, so visiting each cube's partners in ascending index, with
-    the all-pairs liveness checks, makes the same rewrite attempts in the
-    same order and so yields the same cover.
+    Partners come from the snapshot. For each position, grouping the keys
+    with that position's care and value bits cleared puts each distance-1
+    pair there in one group (of at most 3 cubes, one per literal);
+    distance-2 partners come from an output -> indices bucket. Qualifying
+    depends on snapshot values alone, so visiting each cube's partners in
+    ascending index, with the all-pairs liveness checks, makes the same
+    rewrite attempts in the same order and so yields the same cover.
     """
     snapshot = list(live.items())
-    # Each key packed into one int, so one mask clears a position in both halves.
-    packed = [care << n | val for (care, val), _ in snapshot]
     partners: list[list[int]] = [[] for _ in snapshot]
     for i in range(n):
         clear = ~(1 << i | 1 << (n + i))
         groups: dict[int, list[int]] = {}
-        for ib, key in enumerate(packed):
+        for ib, (key, out) in enumerate(snapshot):
             group = groups.setdefault(key & clear, [])
             for ia in group:
-                if snapshot[ia][1] != snapshot[ib][1]:
+                if snapshot[ia][1] != out:
                     partners[ia].append(ib)
             group.append(ib)
     by_out: dict[int, list[int]] = {}
     for i, (_, out) in enumerate(snapshot):
         by_out.setdefault(out, []).append(i)
     changed = False
-    for ia, ((care_a, val_a), out_a) in enumerate(snapshot):
-        if live.get((care_a, val_a)) != out_a:
+    for ia, (a, out_a) in enumerate(snapshot):
+        if live.get(a) != out_a:
             continue
-        later = partners[ia] + [ib for ib in by_out[out_a] if ib > ia and _diff_mask(
-            care_a, val_a, *snapshot[ib][0]).bit_count() == 2]
+        later = partners[ia] + [
+            ib for ib in by_out[out_a] if ib > ia and _diff(a, snapshot[ib][0], n).bit_count() == 2]
         for ib in sorted(later):
-            (care_b, val_b), out_b = snapshot[ib]
-            if live.get((care_b, val_b)) != out_b:
+            b, out_b = snapshot[ib]
+            if live.get(b) != out_b:
                 continue
-            if live.get((care_a, val_a)) != out_a:
+            if live.get(a) != out_a:
                 break
-            diff = _diff_mask(care_a, val_a, care_b, val_b)
+            diff = _diff(a, b, n)
             if out_a != out_b:
-                options = _rewrite_d1(care_a, val_a, out_a, care_b, val_b, out_b, diff)
+                options = _rewrite_d1(a, out_a, b, out_b, diff, n)
             else:
-                options = _rewrite_d2(care_a, val_a, care_b, val_b, out_a, diff)
-            if _try_rewrite(live, n, (care_a, val_a, out_a), (care_b, val_b, out_b), options):
+                options = _rewrite_d2(a, b, out_a, diff, n)
+            if _try_rewrite(live, n, (a, out_a), (b, out_b), options):
                 changed = True
     return changed
 
 
-def _rewrite_d1(care_a, val_a, out_a, care_b, val_b, out_b, bit):
+def _rewrite_d1(a, out_a, b, out_b, bit, n):
     """Two equivalent replacements for a distance-1 pair with unequal outputs.
 
     With merged input M (P_M = P_A xor P_B):
         A(u) + B(v)  =  M(u) + B(u^v)  =  M(v) + A(u^v)
     """
-    lit = _merged_literal(care_a, val_a, care_b, val_b, bit)
-    mcare, mval = _with_literal(care_a, val_a, bit, lit)
-    x = out_a ^ out_b
-    return (
-        ((mcare, mval, out_a), (care_b, val_b, x)),
-        ((mcare, mval, out_b), (care_a, val_a, x)),
-    )
+    m, x = _merge(a, b, n, bit), out_a ^ out_b
+    return ((m, out_a), (b, x)), ((m, out_b), (a, x))
 
 
-def _rewrite_d2(care_a, val_a, care_b, val_b, out, diff):
+def _rewrite_d2(a, b, out, diff, n):
     """Two equivalent replacements for a distance-2 pair with equal outputs.
 
     Merging one differing position at a time:
         A + B = A[i->m_i] + A[i->b_i][j->m_j]   (and the i/j swap)
+    where A[i->b_i] is B[j->a_j], so the second cube is B[j->m_j].
     """
     bit_i = diff & -diff
     bit_j = diff ^ bit_i
-    options = []
-    for first, second in ((bit_i, bit_j), (bit_j, bit_i)):
-        m1 = _with_literal(care_a, val_a, first, _merged_literal(care_a, val_a, care_b, val_b, first))
-        bcare = (care_a & ~first) | (care_b & first)
-        bval = (val_a & ~first) | (val_b & first)
-        m2 = _with_literal(bcare, bval, second, _merged_literal(bcare, bval, care_b, val_b, second))
-        options.append(((m1[0], m1[1], out), (m2[0], m2[1], out)))
-    return tuple(options)
+    return tuple(((_merge(a, b, n, first), out), (_merge(b, a, n, second), out))
+                 for first, second in ((bit_i, bit_j), (bit_j, bit_i)))
 
 
 def _try_rewrite(live, n, a, b, options) -> bool:
     """Apply the first acceptable rewrite option; restore the pair otherwise."""
-    care_a, val_a, out_a = a
-    care_b, val_b, out_b = b
-    lits_before = (care_a.bit_count() + care_b.bit_count())
-    live.remove((care_a, val_a))
-    live.remove((care_b, val_b))
+    (key_a, out_a), (key_b, out_b) = a, b
+    lits_before = (key_a >> n).bit_count() + (key_b >> n).bit_count()
+    live.remove(key_a)
+    live.remove(key_b)
     for c1, c2 in options:
-        lits_after = c1[0].bit_count() + c2[0].bit_count()
-        if lits_after < lits_before or _has_partner(live, n, c1) or _has_partner(live, n, c2):
-            queue = deque((c1, c2))
-            while queue:
-                _insert(live, n, queue)
+        lits_after = (c1[0] >> n).bit_count() + (c2[0] >> n).bit_count()
+        # A new cube with a partner cancels or merges with the rest of the cover.
+        if lits_after < lits_before or any(
+                key in live or _d1_partner(live, n, key, out) for key, out in (c1, c2)):
+            _fold_in(live, n, (c1, c2))
             return True
-    live.add((care_a, val_a), out_a)
-    live.add((care_b, val_b), out_b)
+    live.add(key_a, out_a)
+    live.add(key_b, out_b)
     return False
-
-
-def _has_partner(live, n, cube) -> bool:
-    care, val, out = cube
-    if (care, val) in live:
-        return True
-    return _d1_partner(live, n, care, val, out) is not None

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 
-from .errors import EXHAUSTIVE_LIMIT, PlaLexicalError, PlaParseError, PlaStructureError, check_limit
+from .errors import (
+    EXHAUSTIVE_LIMIT, PlaLexicalError, PlaParseError, PlaStructureError, check_limit, checked_count)
 
 _INPUT_CHARS = frozenset("01-")
 _OUTPUT_CHARS = frozenset("01-~")
@@ -172,13 +173,13 @@ def parse_pla(text: str) -> PlaFunction:
             if directive == ".i":
                 if n is not None:
                     raise PlaStructureError("duplicate .i directive", lineno)
-                n = _directive_int(directive, tokens, lineno)
+                n = checked_count(_directive_arg(directive, tokens, lineno), f"line {lineno}: .i")
             elif directive == ".o":
                 if m is not None:
                     raise PlaStructureError("duplicate .o directive", lineno)
-                m = _directive_int(directive, tokens, lineno)
+                m = checked_count(_directive_arg(directive, tokens, lineno), f"line {lineno}: .o")
             elif directive == ".p":
-                declared_rows = _directive_int(directive, tokens, lineno)
+                declared_rows = _directive_arg(directive, tokens, lineno)  # no bound: compared as text
             elif directive == ".ilb":
                 input_labels, label_lines[directive] = tuple(tokens[1:]), lineno
             elif directive == ".ob":
@@ -218,7 +219,7 @@ def parse_pla(text: str) -> PlaFunction:
         raise PlaStructureError(f".ilb names {len(input_labels)} inputs, .i says {n}", label_lines[".ilb"])
     if output_labels is not None and len(output_labels) != m:
         raise PlaStructureError(f".ob names {len(output_labels)} outputs, .o says {m}", label_lines[".ob"])
-    if declared_rows is not None and declared_rows != len(cubes):
+    if declared_rows is not None and declared_rows != str(len(cubes)):
         raise PlaStructureError(f".p declares {declared_rows} rows but {len(cubes)} parsed")
     if not saw_end:
         warnings.append("missing .e terminator")
@@ -236,10 +237,11 @@ def parse_pla(text: str) -> PlaFunction:
     )
 
 
-def _directive_int(directive: str, tokens: list[str], lineno: int) -> int:
+def _directive_arg(directive: str, tokens: list[str], lineno: int) -> str:
+    """The directive's one decimal argument, without leading zeros."""
     if len(tokens) != 2 or not tokens[1].isdecimal():
         raise PlaStructureError(f"{directive} needs one integer argument", lineno)
-    return int(tokens[1])
+    return tokens[1].lstrip("0") or "0"
 
 
 def write_pla(f: PlaFunction) -> str:

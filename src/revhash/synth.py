@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, line_name, mask_lines
+from .errors import checked_count
 from .esop import EsopCover
 
 
@@ -138,24 +139,32 @@ def write_real(c: Circuit) -> str:
 
 
 def read_real(text: str) -> Circuit:
-    """Read the .real subset produced by write_real."""
+    """Read the .real subset produced by write_real.
+
+    A malformed directive or gate raises ValueError naming its line; a count
+    of more digits than any line limit allows raises ResourceLimitError.
+    """
     num_inputs = num_outputs = numvars = None
-    names: list[str] | None = None
+    index: dict[str, int] | None = None  # line name -> line
     gates: list[Gate] = []
     in_body = False
     name = None
-    for raw in text.splitlines():
+
+    def bad(message):  # the line being read, named in the error
+        return ValueError(f"line {lineno}: {message}: {line!r}")
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.startswith("revhash inputs="):
-                fields = dict(part.split("=") for part in comment.split()[1:])
-                if "inputs" not in fields or "outputs" not in fields:
-                    raise ValueError(f"role comment needs inputs= and outputs=: {comment!r}")
-                num_inputs = int(fields["inputs"])
-                num_outputs = int(fields["outputs"])
+                fields = dict(part.partition("=")[::2] for part in comment.split()[1:])
+                roles = fields.get("inputs", ""), fields.get("outputs", "")
+                if not (roles[0].isdecimal() and roles[1].isdecimal()):
+                    raise bad("role comment needs decimal inputs= and outputs=")
+                num_inputs, num_outputs = (checked_count(r, f"line {lineno}: a role count") for r in roles)
             elif name is None and comment:
                 name = comment
             continue
@@ -163,14 +172,15 @@ def read_real(text: str) -> Circuit:
             continue
         if line.startswith(".numvars"):
             fields = line.split()
-            if len(fields) != 2 or not fields[1].isdigit():
-                raise ValueError(f"malformed .numvars line: {line!r}")
-            numvars = int(fields[1])
+            if len(fields) != 2 or not fields[1].isdecimal():
+                raise bad("malformed .numvars line")
+            numvars = checked_count(fields[1], f"line {lineno}: .numvars")
             continue
         if line.startswith(".variables"):
             names = line.split()[1:]
-            if len(set(names)) != len(names):
-                raise ValueError(f".variables names a line more than once: {line!r}")
+            index = {v: i for i, v in enumerate(names)}
+            if len(index) != len(names):
+                raise bad(".variables names a line more than once")
             continue
         if line == ".begin":
             in_body = True
@@ -178,23 +188,26 @@ def read_real(text: str) -> Circuit:
         if line == ".end":
             break
         if in_body:
-            tokens = line.split()
-            kind, args = tokens[0], tokens[1:]
-            if not kind.startswith("t") or not kind[1:].isdigit():
-                raise ValueError(f"unsupported .real gate: {line!r}")
-            if not args or len(args) != int(kind[1:]):
-                raise ValueError(f"gate arity mismatch: {line!r}")
-            if names is None:
-                raise ValueError(".variables must precede gate lines")
-            idx = [names.index(a) for a in args]
+            kind, *args = line.split()
+            if not kind.startswith("t") or not kind[1:].isdecimal():
+                raise bad("unsupported .real gate")
+            if not args or kind[1:].lstrip("0") != str(len(args)):
+                raise bad("gate arity mismatch")
+            if index is None:
+                raise bad(".variables must precede gate lines")
+            idx = [index.get(a) for a in args]
+            if None in idx:
+                raise bad("gate names a line not in .variables")
+            if len(set(idx)) < len(idx):
+                raise bad("gate names a line twice")
             gates.append(Gate(target=idx[-1], positive_controls=frozenset(idx[:-1])))
-    if names is None:
+    if index is None:
         raise ValueError("missing .variables header")
-    if numvars is not None and numvars != len(names):
-        raise ValueError(f".numvars {numvars} does not match {len(names)} .variables")
+    if numvars is not None and numvars != len(index):
+        raise ValueError(f".numvars {numvars} does not match {len(index)} .variables")
     if num_inputs is None or num_outputs is None:
         raise ValueError("missing '# revhash inputs=… outputs=…' role comment")
-    if num_inputs + num_outputs != len(names):
+    if num_inputs + num_outputs != len(index):
         raise ValueError("role comment does not match .variables count")
     return Circuit(num_inputs=num_inputs, num_outputs=num_outputs,
                    gates=_fold_input_nots(gates, num_inputs), name=name)

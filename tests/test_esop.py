@@ -248,36 +248,53 @@ def all_pairs_sweep(live, n):
     """Reference for `esop._reshape_sweep`: the all-pairs scan it replaced.
 
     Tests every snapshot pair (ia < ib) in order; the indexed sweep must
-    make the same rewrite attempts in the same order.
+    make the same rewrite attempts in the same order. Keys are packed as
+    `care << n | value`, as `esop._Live` holds them.
     """
     snapshot = list(live.items())
     changed = False
     for ia in range(len(snapshot)):
-        (care_a, val_a), out_a = snapshot[ia]
-        if live.get((care_a, val_a)) != out_a:
+        a, out_a = snapshot[ia]
+        if live.get(a) != out_a:
             continue
         for ib in range(ia + 1, len(snapshot)):
-            (care_b, val_b), out_b = snapshot[ib]
-            if live.get((care_b, val_b)) != out_b:
+            b, out_b = snapshot[ib]
+            if live.get(b) != out_b:
                 continue
-            if live.get((care_a, val_a)) != out_a:
+            if live.get(a) != out_a:
                 break
-            diff = esop._diff_mask(care_a, val_a, care_b, val_b)
+            diff = esop._diff(a, b, n)
             d = diff.bit_count()
             if d == 1 and out_a != out_b:
-                options = esop._rewrite_d1(care_a, val_a, out_a, care_b, val_b, out_b, diff)
+                options = esop._rewrite_d1(a, out_a, b, out_b, diff, n)
             elif d == 2 and out_a == out_b:
-                options = esop._rewrite_d2(care_a, val_a, care_b, val_b, out_a, diff)
+                options = esop._rewrite_d2(a, b, out_a, diff, n)
             else:
                 continue
-            if esop._try_rewrite(live, n, (care_a, val_a, out_a), (care_b, val_b, out_b), options):
+            if esop._try_rewrite(live, n, (a, out_a), (b, out_b), options):
                 changed = True
     return changed
 
 
-def probe_d1_partner(live, n, care, val, out):
+def d1_neighbours(key, n):
+    """(key, merged_key) for the 2n packed keys at input distance 1 from `key`.
+
+    Positions ascend; at each come the other two literals, in the order 0,
+    1, dash, and each merges with the cube into the other one's literal.
+    """
+    out = []
+    for i in range(n):
+        others = [(1, 0), (1, 1), (0, 0)]  # (care, value) of 0, 1 and dash
+        others.remove((key >> (n + i) & 1, key >> i & 1))
+        base = key & ~(1 << (n + i) | 1 << i)
+        x, y = (base | care << (n + i) | value << i for care, value in others)
+        out += [(x, y), (y, x)]
+    return out
+
+
+def probe_d1_partner(live, n, key, out):
     """Reference for `esop._d1_partner`: probe the 2n keys at distance 1 in order."""
-    for pkey, merged in esop._d1_neighbours(care, val, n):
+    for pkey, merged in d1_neighbours(key, n):
         if live.get(pkey) == out:
             return pkey, merged
     return None
@@ -292,21 +309,20 @@ def live_lookups(draw):
     distance 1 from a live cube, so that partners are found.
     """
     n, m = draw(st.integers(1, 7)), draw(st.sampled_from((1, 2, 3)))
-    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)).map(
-        lambda cv: (cv[0], cv[0] & cv[1]))
+    keys = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)).map(
+        lambda cv: cv[0] << n | cv[0] & cv[1])
     outs = st.integers(1, (1 << m) - 1)
     size = draw(st.integers(0, min(40, 3 ** n // 2)))
     live = esop._Live()
-    for key, out in draw(st.dictionaries(masks, outs, min_size=size, max_size=60)).items():
+    for key, out in draw(st.dictionaries(keys, outs, min_size=size, max_size=60)).items():
         live.add(key, out)
     lookups = []
     for _ in range(draw(st.integers(1, 8))):
         if live and draw(st.booleans()):
-            care, val = draw(st.sampled_from(sorted(live)))
-            key, _ = draw(st.sampled_from(list(esop._d1_neighbours(care, val, n))))
+            key, _ = draw(st.sampled_from(d1_neighbours(draw(st.sampled_from(sorted(live))), n)))
         else:
-            key = draw(masks)
-        lookups.append((*key, draw(outs)))
+            key = draw(keys)
+        lookups.append((key, draw(outs)))
     return n, live, lookups
 
 
@@ -314,8 +330,8 @@ def live_lookups(draw):
 @given(live_lookups())
 def test_indexed_d1_partner_matches_probe(case):
     n, live, lookups = case
-    for care, val, out in lookups:
-        assert esop._d1_partner(live, n, care, val, out) == probe_d1_partner(live, n, care, val, out)
+    for key, out in lookups:
+        assert esop._d1_partner(live, n, key, out) == probe_d1_partner(live, n, key, out)
 
 
 def minimize_all_pairs(cover: EsopCover) -> EsopCover:
@@ -362,3 +378,19 @@ def test_minimize_pins_perm10_cover():
     assert (cost(result).cube_count, cost(result).literal_count) == (990, 7355)
     assert hashlib.sha256(write_esop(result).encode()).hexdigest() == (
         "e590a136a8a53ab6dd65c5e67b96fa63f97b1d632c852187824fd0b7c428f850")
+
+
+def test_minimize_pins_single_output_cover():
+    """Output bit 0 of the perm10 bijection alone: 512 minterms with one output.
+
+    Its one equal-output bucket starts at 512 cubes, far more than 4n, so a
+    pinned cover runs `_d1_partner`'s probe side; it ends at 197.
+    """
+    table = list(range(1 << 10))
+    random.Random(1).shuffle(table)
+    f = PlaFunction(n=10, m=1, cubes=tuple(
+        Cube(format(x, "010b"), format(y, "010b")[0]) for x, y in enumerate(table)))
+    result = minimize(from_pla(f))
+    assert (cost(result).cube_count, cost(result).literal_count) == (197, 1535)
+    assert hashlib.sha256(write_esop(result).encode()).hexdigest() == (
+        "fa5c5d549fba6a458c71693260c0ff4b10e7c97c884bdf6d04c1565adde04d11")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revhash.errors import PlaLexicalError, PlaParseError, PlaStructureError
+from revhash.cli import main
+from revhash.errors import PlaLexicalError, PlaParseError, PlaStructureError, ResourceLimitError
 from revhash.esop import EsopCover
 from revhash.pla import (
     Cube,
@@ -18,6 +19,7 @@ from revhash.pla import (
     parse_pla,
     write_pla,
 )
+from revhash.synth import read_real
 
 from conftest import evaluate_esop, evaluate_pla, random_function, same_cover
 
@@ -128,6 +130,26 @@ def test_parse_directive_argument_is_decimal():
         directive = text.splitlines()[line - 1].split()[0]
         with pytest.raises(PlaStructureError, match=re.escape(f"line {line}: {directive} needs one integer argument")):
             parse_pla(text)
+
+
+def test_overlong_count_is_a_resource_limit(tmp_path, capsys):
+    # int() refuses strings of over 4300 digits with a message naming no line.
+    digits = "7" * 5000
+    for text, what in ((f".i {digits}\n.o 1\n.e", "line 1: .i"), (f".i 1\n.o {digits}\n.e", "line 2: .o")):
+        with pytest.raises(ResourceLimitError, match=re.escape(f"{what} of 5000 digits exceeds limit 2^20")):
+            parse_pla(text)
+    real = f"# revhash inputs=2 outputs=1\n.numvars {digits}\n.variables x0 x1 y0\n.begin\n.end\n"
+    with pytest.raises(ResourceLimitError, match=re.escape("line 2: .numvars of 5000 digits exceeds")):
+        read_real(real)
+    for name, text, argv, what in (("wide.pla", f".i {digits}\n.o 1\n.e\n", ["synth"], "line 1: .i"),
+                                   ("wide.real", real, ["simulate", "--input", "01"], "line 2: .numvars")):
+        (tmp_path / name).write_text(text)
+        assert main([argv[0], str(tmp_path / name), *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"resource limit: {what} of 5000 digits")
+    # A row count has no bound, so an over-long .p is told apart by its text; leading zeros do not count.
+    with pytest.raises(PlaStructureError, match=re.escape(f".p declares {digits} rows but 1 parsed")):
+        parse_pla(f".i 1\n.o 1\n.p {digits}\n1 1\n.e")
+    assert len(parse_pla(f".i 1\n.o 1\n.p {'0' * 5000}1\n1 1\n.e").cubes) == 1
 
 
 def test_parse_row_count_mismatch():

@@ -288,6 +288,24 @@ def test_real_requires_role_comment():
         read_real(text)
 
 
+def test_read_real_errors_name_their_line():
+    head = "# revhash inputs=2 outputs=1\n.numvars 3\n.variables x0 x1 y0\n.begin\n"
+    cases = (
+        # "²".isdigit() holds, but int() refuses it.
+        (head.replace(".numvars 3", ".numvars \u00b2") + "t2 x0 y0\n.end\n",
+         "line 2: malformed .numvars line: '.numvars \u00b2'"),
+        (head + "t\u00b2 x0 y0\n.end\n", "line 5: unsupported .real gate: 't\u00b2 x0 y0'"),
+        (head + "t2 z9 y0\n.end\n", "line 5: gate names a line not in .variables: 't2 z9 y0'"),
+        (head + "t2 y0 y0\n.end\n", "line 5: gate names a line twice: 't2 y0 y0'"),
+        (head.replace("inputs=2", "inputs=x") + "t2 x0 y0\n.end\n",
+         "line 1: role comment needs decimal inputs= and outputs=: '# revhash inputs=x outputs=1'"),
+    )
+    for text, message in cases:
+        with pytest.raises(ValueError) as exc:
+            read_real(text)
+        assert str(exc.value) == message
+
+
 def test_real_output_shape():
     text = write_real(and_circuit())
     assert ".numvars 3" in text
