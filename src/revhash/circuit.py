@@ -178,5 +178,5 @@ def read_circuit_json(text: str) -> Circuit:
 
 def _check_ints(values: list, where: str) -> None:
     for v in values:
-        if not isinstance(v, int):
+        if type(v) is not int:  # a JSON true or false is a bool, which is an int
             raise ValueError(f"circuit JSON {where}: {v!r} is not a line number or count")

@@ -1,8 +1,8 @@
 """Preimage recovery: exhaustive forward search and backward deduction.
 
-The brute-force oracle simply evaluates the function forward over every
-input and keeps the matches; it exists as the independent cross-check, and
-it sweeps once per target.
+The brute-force oracle, the independent cross-check, evaluates the function
+forward over every input (a cover once per object, `sim.forward_words`) and
+keeps, per target, the inputs whose output words match it.
 
 The deduction solver works on the synthesized circuit instead. Because
 inputs are never targets, every gate on output line j contributes the
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from .circuit import Circuit
 from .errors import EXHAUSTIVE_LIMIT, check_limit
 from .pla import bits_to_int, int_to_bits
-from .sim import _columns, _mismatch, forward_words
+from .sim import _columns, _LastOf, _mismatch, forward_words
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def preimages_bruteforce(fn, y: str, limit: int = EXHAUSTIVE_LIMIT) -> PreimageR
     """Enumerate all x with f(x) = y by forward evaluation.
 
     Accepts a PlaFunction (OR semantics), EsopCover (XOR semantics), or
-    Circuit. Evaluation is batched wordwise but is exactly the forward map.
+    Circuit. Its forward words, a cover's built once per object, are matched to y.
     """
     t0 = time.perf_counter()
     words = forward_words(fn, limit)
@@ -197,18 +197,7 @@ class _PredicateTable:
         return self.block_rows
 
 
-# The table of the last circuit deduced over, with that circuit. Circuits
-# are immutable, so identity decides reuse; hashing a Circuit would walk
-# every gate on each call.
-_last_table: tuple[Circuit, _PredicateTable] | None = None
-
-
-def _table(c: Circuit) -> _PredicateTable:
-    global _last_table
-    last = _last_table
-    if last is None or last[0] is not c:
-        last = _last_table = (c, _PredicateTable(c))
-    return last[1]
+_table = _LastOf(_PredicateTable)
 
 
 class _Search:

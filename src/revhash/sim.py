@@ -23,6 +23,7 @@ AND the words of the lines in their masks. Synthesis emits a cube's gates,
 one per output 1-bit, as a run with equal masks: the kernel builds a run's
 fire word once and XORs it into each target. `errors.check_limit` bounds
 each sweep at 2^`errors.EXHAUSTIVE_LIMIT` states before any word is built.
+A cover is evaluated once per object, by `_LastOf`; each call checks its limit.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -36,6 +37,7 @@ from __future__ import annotations
 import enum
 import operator
 import random
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -133,6 +135,23 @@ def _run_words(gates, words: list[int], mask: int, lanes: int, n: int) -> list[i
     return words
 
 
+class _LastOf:
+    """`build(obj)` for the last obj asked for, by identity, holding obj weakly."""
+
+    def __init__(self, build):
+        self.build, self.last = build, (None, None)  # one tuple: (weakref to obj, value)
+
+    def __call__(self, obj):
+        ref, value = self.last
+        if ref is None or ref() is not obj:
+            value = self.build(obj)
+            self.last = (weakref.ref(obj, self._drop), value)
+        return value
+
+    def _drop(self, ref) -> None:  # an object is being collected; forget it if it is the last
+        self.last = (None, None) if self.last[0] is ref else self.last
+
+
 def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
     """Evaluate fn over all 2^n inputs; bit s of word j is output j at input s.
 
@@ -146,6 +165,11 @@ def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
     if not isinstance(fn, (PlaFunction, EsopCover)):
         raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
     check_limit(1 << fn.n, limit, f"the 2^{fn.n} states of a sweep")
+    return list(_cover_words(fn))
+
+
+@_LastOf
+def _cover_words(fn: PlaFunction | EsopCover) -> list[int]:
     op, full = operator.xor if isinstance(fn, EsopCover) else operator.or_, (1 << fn.n) - 1
     cubes = [cu for cu in fn.cubes if cu.output_mask]
     steps = sum(1 + cu.output_mask.bit_count() for cu in cubes if cu.care_mask == full)
@@ -271,10 +295,7 @@ def verify_against_spec(
             f"arity mismatch: circuit {c.num_inputs}->{c.num_outputs}, function {f.n}->{f.m}"
         )
     bad, s = _mismatch(forward_words(c, limit), forward_words(f, limit))
-    size = 1 << f.n
-    if s is not None:
-        return VerificationReport(
-            VerifyMode.EXHAUSTIVE, size, False, counterexample=int_to_bits(s, f.n),
-            detail=f"{bad.bit_count()} mismatching input(s)",
-        )
-    return VerificationReport(VerifyMode.EXHAUSTIVE, size, True)
+    if s is None:
+        return VerificationReport(VerifyMode.EXHAUSTIVE, 1 << f.n, True)
+    return VerificationReport(VerifyMode.EXHAUSTIVE, 1 << f.n, False, counterexample=int_to_bits(s, f.n),
+                              detail=f"{bad.bit_count()} mismatching input(s)")

@@ -110,6 +110,21 @@ def test_simulate_malformed_circuit_is_input_error(tmp_path, capsys, name, text)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("doc", [
+    {"inputs": True, "outputs": 1, "gates": []},
+    {"inputs": 2, "outputs": True, "gates": []},
+    {"inputs": 2, "outputs": 1, "gates": [{"target": True}]},
+    {"inputs": 2, "outputs": 1, "gates": [{"target": 2, "positive": [True]}]},
+    {"inputs": 2, "outputs": 1, "gates": [{"target": 2, "negative": [False]}]},
+], ids=["inputs", "outputs", "target", "positive-control", "negative-control"])
+def test_simulate_json_boolean_is_input_error(tmp_path, capsys, doc):
+    # JSON true and false load as bools, which Python counts as ints 1 and 0.
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--input", "01"]) == 1
+    assert "is not a line number or count" in capsys.readouterr().err
+
+
 def test_invert_demo(corpus_dir, capsys):
     code = main(["invert", str(corpus_dir / "demo_hash4.pla"), "--target", "1001",
                  "--format", "json"])

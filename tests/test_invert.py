@@ -1,20 +1,23 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from revhash.analyze import avalanche_check, collision_scan
 from revhash.circuit import Circuit, Gate
 from revhash.errors import ResourceLimitError
 from revhash.esop import EsopCover, from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
-from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
+from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla, write_pla
 from revhash.sim import EXHAUSTIVE_LIMIT, run
 from revhash.synth import expand_negative_controls, synthesize
 
 from revhash import corpus, invert
 
-from conftest import CNOT, NOT, covers, oracle_leaf
+from conftest import CNOT, NOT, covers, oracle_leaf, random_truth_table
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -461,3 +464,36 @@ def test_deduce_random_functions_match_bruteforce():
                 preimages_deduce(circ, ys).preimages
                 == preimages_bruteforce(f, ys).preimages
             )
+
+
+def test_table_cache_holds_no_strong_reference():
+    c = synthesize(from_pla(random_truth_table(random.Random(9), 4, 2)))
+    preimages_deduce(c, "01")
+    r = weakref.ref(c)
+    del c
+    gc.collect()
+    assert r() is None
+    assert invert._table.last == (None, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers(max_m=4))
+def test_cached_evaluation_matches_fresh_objects(case):
+    # Brute force and analysis from one object, which reuses its words, must
+    # answer as from a fresh parse each time and as deduction does.
+    n, m, cubes = case
+    text = write_pla(PlaFunction(n=n, m=m, cubes=tuple(cubes)))
+    f = parse_pla(text)
+    targets = [int_to_bits(y, m) for y in range(1 << m)]
+    from_one = [preimages_bruteforce(f, y).preimages for y in targets]
+    reports = avalanche_check(f), collision_scan(f)
+    assert from_one == [preimages_bruteforce(parse_pla(text), y).preimages for y in targets]
+    c = synthesize(minimize(from_pla(f)))
+    assert from_one == [preimages_deduce(c, y).preimages for y in targets]
+    assert reports == (avalanche_check(parse_pla(text)), collision_scan(parse_pla(text)))
+    # Alternating with another live cover must never answer from its words.
+    ones = PlaFunction(n=n, m=m, cubes=(Cube("-" * n, "1" * m),))
+    everything = tuple(sorted(int_to_bits(x, n) for x in range(1 << n)))
+    for y, want in zip(targets, from_one):
+        assert preimages_bruteforce(ones, y).preimages == (everything if y == "1" * m else ())
+        assert preimages_bruteforce(f, y).preimages == want

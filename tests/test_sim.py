@@ -1,6 +1,8 @@
+import gc
 import inspect
 import random
 import time
+import weakref
 from itertools import groupby
 from unittest import mock
 
@@ -37,6 +39,7 @@ from conftest import (
     evaluate_esop,
     evaluate_pla,
     gates_on,
+    random_truth_table,
     truth_table,
 )
 
@@ -498,3 +501,48 @@ def test_verify_identity_shares_fire_words_across_runs(c, variant, data):
     if failing is not None:
         s = sampled.counterexample
         assert run(rev, run(c, s)) != s
+
+
+# -- one evaluation per cover --------------------------------------------------
+
+def test_cover_cache_checks_the_limit_on_a_hit():
+    f = random_truth_table(random.Random(5), 6, 2)
+    forward_words(f)
+    assert sim._cover_words.last[0]() is f
+    with pytest.raises(ResourceLimitError):
+        forward_words(f, limit=5)
+    with pytest.raises(ResourceLimitError):
+        preimages_bruteforce(f, "01", limit=5)
+
+
+def test_cover_cache_gives_each_call_its_own_list():
+    f = random_truth_table(random.Random(6), 5, 3)
+    words = forward_words(f)
+    want = list(words)
+    words[0] ^= 1
+    words.append(7)
+    assert forward_words(f) == want
+
+
+def test_cover_cache_holds_no_strong_reference():
+    f = random_truth_table(random.Random(7), 5, 2)
+    forward_words(f)
+    r = weakref.ref(f)
+    del f
+    gc.collect()
+    assert r() is None
+    assert sim._cover_words.last == (None, None)
+
+
+def test_one_evaluation_serves_every_exhaustive_reader(monkeypatch):
+    f = random_truth_table(random.Random(8), 6, 3)
+    c = synthesize(minimize(from_pla(f)))
+    built = []
+    build = sim._cover_words.build
+    monkeypatch.setattr(sim._cover_words, "build", lambda fn: built.append(fn) or build(fn))
+    assert verify_against_spec(c, f).passed
+    avalanche_check(f)
+    collision_scan(f)
+    for y in range(1 << f.m):
+        preimages_bruteforce(f, int_to_bits(y, f.m))
+    assert len(built) == 1 and built[0] is f
