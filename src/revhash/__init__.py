@@ -21,9 +21,7 @@ from .sim import (
 )
 from .synth import (
     CircuitStats,
-    expand_negative_controls,
     read_real,
-    remove_superfluous_nots,
     reverse,
     stats,
     synthesize,

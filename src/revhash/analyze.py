@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
+from .errors import EXHAUSTIVE_LIMIT
 from .esop import EsopCover
 from .pla import PlaFunction
-from .sim import EXHAUSTIVE_LIMIT, _columns, _cube_word, _line_patterns, forward_words
+from .sim import _columns, _cube_word, _line_patterns, forward_words
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def avalanche_check(f: PlaFunction | EsopCover, limit: int = EXHAUSTIVE_LIMIT) -
         low = _cube_word(1 << i, 0, n)
         bad.append(_below([(w ^ w >> (1 << i)) & low for w in words], threshold, low))
     if applicable:
-        diffs = [w ^ p for w, p in zip(words, _line_patterns(n, limit))]
+        diffs = [w ^ p for w, p in zip(words, _line_patterns(n))]
         bad.append(_below(diffs, threshold, (1 << (1 << n)) - 1))
     part1: list[str] = []
     part2: list[tuple[str, str]] = []

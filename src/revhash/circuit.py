@@ -3,8 +3,8 @@
 A gate flips its target line iff every positive control reads 1 and every
 negative control reads 0. It is stored as masks: bit k of `positive_mask`
 (`negative_mask`) is set iff line k is a positive (negative) control. Its
-line sets, `positive_controls`, `negative_controls` and `lines`, are
-frozensets derived from the masks on first read. Circuits carry n input
+control sets, `positive_controls` and `negative_controls`, are frozensets
+derived from the masks on first read. Circuits carry n input
 lines (0..n-1) followed by m output lines (n..n+m-1); both are plain lines,
 the role split only records how synthesis laid them out. Gates and circuits
 are immutable; every rewrite returns a new one.
@@ -42,13 +42,13 @@ class Gate(_Frozen):
 
     `Gate(target, positive_controls, negative_controls)` takes any iterables of
     lines and checks them; `Gate.from_masks` trusts its caller. Equality and
-    hash go by target and masks, of which the line sets are a function.
+    hash go by target and masks, of which the control sets are a function.
     """
 
-    # The line sets are properties over private slots: a __getattr__ filling
+    # The control sets are properties over private slots: a __getattr__ filling
     # empty slots would make every attribute read, the masks' too, 2x slower.
     __slots__ = ("target", "positive_mask", "negative_mask", "control_count",
-                 "_positive", "_negative", "_lines")
+                 "_positive", "_negative")
     _key = attrgetter("target", "positive_mask", "negative_mask")
 
     def __new__(cls, target: int, positive_controls=frozenset(), negative_controls=frozenset()):
@@ -77,7 +77,6 @@ class Gate(_Frozen):
 
     positive_controls = _view("_positive", lambda g: frozenset(mask_lines(g.positive_mask)))
     negative_controls = _view("_negative", lambda g: frozenset(mask_lines(g.negative_mask)))
-    lines = _view("_lines", lambda g: g.positive_controls | g.negative_controls | {g.target})
 
     def __repr__(self):
         return (f"Gate(target={self.target!r}, positive_controls={self.positive_controls!r}, "
@@ -121,18 +120,12 @@ class Circuit:
     def width(self) -> int:
         return self.num_inputs + self.num_outputs
 
-    def with_gates(self, gates, name: str | None = None) -> "Circuit":
-        return replace(self, gates=tuple(gates), name=name or self.name)
+    def with_gates(self, gates) -> "Circuit":
+        return replace(self, gates=tuple(gates))
 
 
-def line_name(c: Circuit, line: int) -> str:
-    if line < c.num_inputs:
-        return f"x{line}"
-    return f"y{line - c.num_inputs}"
-
-
-def to_json_doc(c: Circuit) -> dict:
-    return {
+def write_circuit_json(c: Circuit) -> str:
+    doc = {
         "name": c.name,
         "width": c.width,
         "inputs": c.num_inputs,
@@ -146,10 +139,7 @@ def to_json_doc(c: Circuit) -> dict:
             for g in c.gates
         ],
     }
-
-
-def write_circuit_json(c: Circuit) -> str:
-    return json.dumps(to_json_doc(c), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def read_circuit_json(text: str) -> Circuit:
@@ -168,11 +158,16 @@ def read_circuit_json(text: str) -> Circuit:
         gates.append(Gate(target=g["target"], positive_controls=frozenset(pos),
                           negative_controls=frozenset(neg)))
     _check_ints([doc.get("inputs"), doc.get("outputs")], "inputs/outputs")
+    width, name = doc.get("width", doc["inputs"] + doc["outputs"]), doc.get("name")
+    if type(width) is not int or width != doc["inputs"] + doc["outputs"]:
+        raise ValueError(f"circuit JSON width {width!r} is not inputs + outputs")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"circuit JSON name {name!r} is not a string or null")
     return Circuit(
         num_inputs=doc["inputs"],
         num_outputs=doc["outputs"],
         gates=tuple(gates),
-        name=doc.get("name"),
+        name=name,
     )
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 resource limit,
 3 verification failure. With --format json the machine-readable document
-goes to stdout and human-readable text to stderr.
+goes to stdout and human-readable text to stderr. Each warning of the .pla
+parser goes to stderr as `warning: <message>`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import NamedTuple
 from . import analyze, corpus, esop, invert, sim, synth
 from .circuit import Circuit, read_circuit_json, write_circuit_json
 from .errors import EXHAUSTIVE_LIMIT, PlaParseError, ResourceLimitError
+from .pla import PlaFunction
 from .synth import read_real, write_real
 
 EXIT_OK = 0
@@ -145,6 +147,12 @@ def _emit(args, doc: dict, text: str) -> None:
         print(text)
 
 
+def _read_cover(path: Path, prefix: str = "") -> esop.EsopCover | PlaFunction:
+    """`esop.read_cover` of the file; each parse warning goes to stderr after `prefix`."""
+    return esop.read_cover(path.read_text(),
+                           lambda message: print(f"warning: {prefix}{message}", file=sys.stderr))
+
+
 def _load_circuit(path: Path) -> Circuit:
     if path.suffix == ".json":
         return read_circuit_json(path.read_text())
@@ -188,7 +196,7 @@ def _report(run: _Compiled) -> dict:
 
 
 def cmd_synth(args) -> int:
-    run = _pipeline(esop.read_cover(args.pla.read_text()), args.pla.stem, not args.no_minimize)
+    run = _pipeline(_read_cover(args.pla), args.pla.stem, not args.no_minimize)
     if args.output:
         args.output.write_text(write_real(run.circuit))
     if args.json_circuit:
@@ -221,7 +229,7 @@ def cmd_reverse(args) -> int:
 def cmd_simulate(args) -> int:
     if args.path.suffix == ".pla":
         # Minimizing cannot change the outputs, so the simulated circuit skips it.
-        circuit = _pipeline(esop.read_cover(args.path.read_text()), args.path.stem, False).circuit
+        circuit = _pipeline(_read_cover(args.path), args.path.stem, False).circuit
     else:
         circuit = _load_circuit(args.path)
     x = args.input
@@ -238,11 +246,11 @@ def cmd_simulate(args) -> int:
 def cmd_invert(args) -> int:
     y, limit = args.target, args.exhaustive_limit
     if args.brute:
-        fn = esop.read_cover(args.path.read_text()) if args.path.suffix == ".pla" else _load_circuit(args.path)
+        fn = _read_cover(args.path) if args.path.suffix == ".pla" else _load_circuit(args.path)
         result = invert.preimages_bruteforce(fn, y, limit=limit)
     else:
         if args.path.suffix == ".pla":
-            f = esop.read_cover(args.path.read_text())
+            f = _read_cover(args.path)
             circuit = _pipeline(f, args.path.stem, True).circuit
         else:
             f = circuit = _load_circuit(args.path)
@@ -271,7 +279,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f = esop.read_cover(args.pla.read_text())
+    f = _read_cover(args.pla)
     circuit = _pipeline(f, args.pla.stem, True).circuit
     reversed_circuit = synth.reverse(circuit)
     forward = circuit
@@ -301,7 +309,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    f = esop.read_cover(args.pla.read_text())
+    f = _read_cover(args.pla)
     av = analyze.avalanche_check(f, limit=args.exhaustive_limit)
     col = analyze.collision_scan(f, limit=args.exhaustive_limit)
     doc = {
@@ -347,7 +355,7 @@ def cmd_bench(args) -> int:
 def _bench_record(path: Path) -> dict:
     """The `synth` documents of one .pla with and without minimization, or its error."""
     try:
-        f = esop.read_cover(path.read_text())
+        f = _read_cover(path, f"{path.name}: ")
         return {"name": path.stem,
                 "minimized": _report(_pipeline(f, path.stem, True)),
                 "unminimized": _report(_pipeline(f, path.stem, False))}

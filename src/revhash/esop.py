@@ -130,9 +130,12 @@ def write_esop(c: EsopCover, name: str | None = None) -> str:
     return write_pla(PlaFunction(n=c.n, m=c.m, cubes=c.cubes, name=name, comments=("esop",)))
 
 
-def read_cover(text: str) -> EsopCover | PlaFunction:
-    """Parse a .pla document: an EsopCover if it is marked `# esop`, else a PlaFunction."""
+def read_cover(text: str, warn=lambda message: None) -> EsopCover | PlaFunction:
+    """Parse a .pla document: an EsopCover if it is marked `# esop`, else a
+    PlaFunction. Each of the parser's warnings is passed to `warn`."""
     f = parse_pla(text)
+    for message in f.warnings:
+        warn(message)
     return EsopCover(n=f.n, m=f.m, cubes=f.cubes) if "esop" in f.comments else f
 
 

@@ -7,22 +7,23 @@ keeps, per target, the inputs whose output words match it.
 The deduction solver works on the synthesized circuit instead. Because
 inputs are never targets, every gate on output line j contributes the
 conjunction of its input-line controls XOR-wise to that line, so "output
-lines end at y, having started at a known initialization" is a system of
-per-line XOR constraints over cube predicates.
+lines end at y, having started at 0" is a system of per-line XOR
+constraints over cube predicates.
 
-The predicate table is built once per circuit and kept for the next call
-on the same circuit object. It holds one predicate per distinct cube (a
-pair of positive and negative control masks): each output line's
-membership is toggled by XOR, so a gate repeated on one line cancels, and a
-cube on several lines is one predicate on each of them. Uncontrolled NOTs
-only flip their line's wanted parity. A circuit that `synthesize` returned
-carries the XOR cover it was built from, with one gate per cube and output
-1-bit, so the table is read from those cubes, each toggling the lines of
-its output row; any other circuit (read from a file, built by hand, or
-rewritten) is read gate by gate. Both give the same table. Every set of
-predicates is one int with bit p for predicate p: those on each output
-line, those with a literal on each input variable, and those that each
-value of each input variable does not falsify.
+The predicate table is built once per circuit and kept in the circuit's
+instance `__dict__`, as `functools.cached_property` keeps a value. It
+holds one predicate per distinct cube (a pair of positive and negative
+control masks): each output line's membership is toggled by XOR, so a gate
+repeated on one line cancels, and a cube on several lines is one predicate
+on each of them. Uncontrolled NOTs only flip their line's wanted parity. A
+circuit that `synthesize` returned carries the XOR cover it was built
+from, with one gate per cube and output 1-bit, so the table is read from
+those cubes, each toggling the lines of its output row; any other circuit
+(read from a file, built by hand, or rewritten) is read gate by gate. Both
+give the same table. Every set of predicates is one int with bit p for
+predicate p: those on each output line, those with a literal on each input
+variable, and those that each value of each input variable does not
+falsify.
 
 A search, one per target, holds only the wanted parities, its counters and
 its solutions. A search state is three ints: the predicates not yet
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from .circuit import Circuit
 from .errors import EXHAUSTIVE_LIMIT, check_limit
 from .pla import bits_to_int, int_to_bits
-from .sim import _columns, _LastOf, _mismatch, forward_words
+from .sim import _columns, _mismatch, forward_words
 
 
 @dataclass(frozen=True)
@@ -197,21 +198,17 @@ class _PredicateTable:
         return self.block_rows
 
 
-_table = _LastOf(_PredicateTable)
-
-
 class _Search:
     """The search for the preimages of one target over a predicate table."""
 
-    def __init__(self, c: Circuit, y: str, output_init: str | None, limit: int, first_only: bool):
-        m = c.num_outputs
-        if len(y) != m:
-            raise ValueError(f"target length {len(y)} != m={m}")
-        if output_init is not None and len(output_init) != m:
-            raise ValueError(f"initialization length {len(output_init)} != m={m}")
-        self.t = t = _table(c)
-        init = bits_to_int(output_init) if output_init else 0
-        parity = bits_to_int(y) ^ init ^ t.flips
+    def __init__(self, c: Circuit, y: str, limit: int, first_only: bool):
+        if len(y) != c.num_outputs:
+            raise ValueError(f"target length {len(y)} != m={c.num_outputs}")
+        memo = c.__dict__
+        if "_predicate_table" not in memo:
+            memo["_predicate_table"] = _PredicateTable(c)
+        self.t = t = memo["_predicate_table"]
+        parity = bits_to_int(y) ^ t.flips
         # (line, wanted parity of the predicates on it that fire), per line.
         self.checks = [(line, (parity >> j) & 1) for j, line in enumerate(t.lines)]
         self.limit = limit
@@ -342,19 +339,17 @@ class _Search:
 def preimages_deduce(
     c: Circuit,
     y: str,
-    output_init: str | None = None,
     limit: int = EXHAUSTIVE_LIMIT,
 ) -> PreimageResult:
     """Recover all preimages of y by backward deduction over the circuit.
 
     The circuit must come from synthesis: targets on output lines, controls
-    on input lines. `output_init` overrides the all-zeros output-line
-    initialization when the circuit was run from a different known state.
-    Raises ResourceLimitError when the branches or leaf assignments pass
-    2^limit.
+    on input lines, output lines starting at 0 (a run from another known
+    start state ends at that state XOR y). Raises ResourceLimitError when
+    the branches or leaf assignments pass 2^limit.
     """
     t0 = time.perf_counter()
-    search = _Search(c, y, output_init, limit, first_only=False)
+    search = _Search(c, y, limit, first_only=False)
     search.solve()
     return PreimageResult(
         target=y,
@@ -369,7 +364,6 @@ def preimages_deduce(
 def preimage_one(
     c: Circuit,
     y: str,
-    output_init: str | None = None,
     limit: int = EXHAUSTIVE_LIMIT,
 ) -> str | None:
     """First preimage under the deterministic branch order, or None.
@@ -378,6 +372,6 @@ def preimage_one(
     so the returned preimage is the lexicographically smallest one. The
     budget is that of `preimages_deduce`.
     """
-    search = _Search(c, y, output_init, limit, first_only=True)
+    search = _Search(c, y, limit, first_only=True)
     search.solve()
     return search.solutions[0] if search.solutions else None

@@ -23,7 +23,9 @@ AND the words of the lines in their masks. Synthesis emits a cube's gates,
 one per output 1-bit, as a run with equal masks: the kernel builds a run's
 fire word once and XORs it into each target. `errors.check_limit` bounds
 each sweep at 2^`errors.EXHAUSTIVE_LIMIT` states before any word is built.
-A cover is evaluated once per object, by `_LastOf`; each call checks its limit.
+A cover is evaluated once: its words are kept in its instance `__dict__`,
+as `functools.cached_property` keeps a value, and each call checks its
+limit and gets its own list. A circuit's words are not kept.
 
 The exhaustive identity check sweeps only the lines R that some gate reads
 as a control, 2^|R| states, with every other line starting at 0. Its
@@ -37,7 +39,6 @@ from __future__ import annotations
 import enum
 import operator
 import random
-import weakref
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -106,9 +107,12 @@ def _cube_word(care: int, value: int, n: int) -> int:
     return word << value
 
 
-def _line_patterns(n: int, limit: int) -> list[int]:
-    """The start words of a sweep over all 2^n states, one per line."""
+def _check_sweep(n: int, limit: int) -> None:
     check_limit(1 << n, limit, f"the 2^{n} states of a sweep")
+
+
+def _line_patterns(n: int) -> list[int]:
+    """The start words of a sweep over all 2^n states, one per line."""
     return [_cube_word(1 << line, 1 << line, n) for line in range(n)]
 
 
@@ -135,40 +139,25 @@ def _run_words(gates, words: list[int], mask: int, lanes: int, n: int) -> list[i
     return words
 
 
-class _LastOf:
-    """`build(obj)` for the last obj asked for, by identity, holding obj weakly."""
-
-    def __init__(self, build):
-        self.build, self.last = build, (None, None)  # one tuple: (weakref to obj, value)
-
-    def __call__(self, obj):
-        ref, value = self.last
-        if ref is None or ref() is not obj:
-            value = self.build(obj)
-            self.last = (weakref.ref(obj, self._drop), value)
-        return value
-
-    def _drop(self, ref) -> None:  # an object is being collected; forget it if it is the last
-        self.last = (None, None) if self.last[0] is ref else self.last
-
-
 def forward_words(fn, limit: int = EXHAUSTIVE_LIMIT) -> list[int]:
     """Evaluate fn over all 2^n inputs; bit s of word j is output j at input s.
 
     fn is a PlaFunction (matching rows OR-ed), an EsopCover (XOR-ed) or a
     Circuit (input lines driven, output lines starting at 0).
     """
-    if isinstance(fn, Circuit):
-        n = fn.num_inputs
-        start = _line_patterns(n, limit) + [0] * fn.num_outputs
-        return _run_words(fn.gates, start, (1 << (1 << n)) - 1, n, n)[n:]
-    if not isinstance(fn, (PlaFunction, EsopCover)):
+    if not isinstance(fn, (Circuit, PlaFunction, EsopCover)):
         raise TypeError(f"cannot evaluate {type(fn).__name__} forward")
-    check_limit(1 << fn.n, limit, f"the 2^{fn.n} states of a sweep")
-    return list(_cover_words(fn))
+    n = fn.num_inputs if isinstance(fn, Circuit) else fn.n
+    _check_sweep(n, limit)
+    if isinstance(fn, Circuit):
+        start = _line_patterns(n) + [0] * fn.num_outputs
+        return _run_words(fn.gates, start, (1 << (1 << n)) - 1, n, n)[n:]
+    memo = fn.__dict__
+    if "_forward_words" not in memo:
+        memo["_forward_words"] = _cover_words(fn)
+    return list(memo["_forward_words"])
 
 
-@_LastOf
 def _cover_words(fn: PlaFunction | EsopCover) -> list[int]:
     op, full = operator.xor if isinstance(fn, EsopCover) else operator.or_, (1 << fn.n) - 1
     cubes = [cu for cu in fn.cubes if cu.output_mask]
@@ -252,13 +241,13 @@ def verify_identity(
     gates = (*forward.gates, *reversed_circuit.gates)
 
     if mode is VerifyMode.EXHAUSTIVE:
-        check_limit(1 << width, width_limit, f"the 2^{width} states of a sweep")
+        _check_sweep(width, width_limit)
         controls = 0
         for g in gates:
             controls |= g.positive_mask | g.negative_mask
         read = [line for line in range(width) if controls >> line & 1]
         start = [0] * width
-        for line, pattern in zip(read, _line_patterns(len(read), width_limit)):
+        for line, pattern in zip(read, _line_patterns(len(read))):
             start[line] = pattern
         count, seed, swept = 1 << width, None, 1 << len(read)
     elif samples < 1:

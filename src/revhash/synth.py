@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, line_name, mask_lines
+from .circuit import Circuit, Gate, mask_lines
 from .errors import checked_count
 from .esop import EsopCover
 
@@ -35,41 +35,6 @@ def synthesize(c: EsopCover, name: str | None = None) -> Circuit:
     circuit = Circuit(num_inputs=n, num_outputs=c.m, gates=tuple(gates), name=name)
     object.__setattr__(circuit, "cover", c)
     return circuit
-
-
-def expand_negative_controls(c: Circuit) -> Circuit:
-    """Replace negative controls by NOT / positive-gate / NOT sandwiches."""
-    gates = []
-    # Gates are immutable, so one NOT per line serves every sandwich.
-    nots = [Gate.from_masks(line, 0, 0, 0) for line in range(c.width)]
-    for g in c.gates:
-        if not g.negative_mask:
-            gates.append(g)
-            continue
-        flips = [nots[line] for line in mask_lines(g.negative_mask)]
-        gates.extend(flips)
-        gates.append(Gate.from_masks(g.target, g.positive_mask | g.negative_mask, 0, g.control_count))
-        gates.extend(flips)
-    return c.with_gates(gates)
-
-
-def remove_superfluous_nots(c: Circuit) -> Circuit:
-    """Cancel NOT pairs on a line with no intervening gate touching it."""
-    kept: list[Gate | None] = []
-    pending: dict[int, int] = {}  # line -> index in kept of an open NOT
-    for g in c.gates:
-        if g.control_count == 0:
-            line = g.target
-            if line in pending:
-                kept[pending.pop(line)] = None
-            else:
-                pending[line] = len(kept)
-                kept.append(g)
-        else:
-            for line in mask_lines(g.positive_mask | g.negative_mask | 1 << g.target):
-                pending.pop(line, None)
-            kept.append(g)
-    return c.with_gates(g for g in kept if g is not None)
 
 
 def reverse(c: Circuit) -> Circuit:
@@ -94,7 +59,7 @@ class CircuitStats:
 
 
 def stats(c: Circuit) -> CircuitStats:
-    """Count the gates of remove_superfluous_nots(expand_negative_controls(c)).
+    """Count the gate lines `write_real` writes for c.
 
     One pass, building no gate: `pending` has a bit per line whose last
     gate so far is a kept NOT, which the next NOT on that line cancels.
@@ -118,24 +83,44 @@ def write_real(c: Circuit) -> str:
     """Serialize to RevLib-style .real text.
 
     The gate lines (`t<k> <controls...> <target>`) carry positive controls
-    only, so the file holds remove_superfluous_nots(expand_negative_controls(c)):
-    the circuit whose gates `stats` counts. A leading comment records the
-    input/output split so the file round-trips.
+    only: a gate's negative controls become positive ones between a NOT on
+    each of those lines before and after it. A NOT cancels the open NOT on
+    its line, the last NOT written there if no gate since touched the line,
+    and neither is written. So the file holds the gates `stats` counts. A
+    leading comment records the input/output split so the file round-trips.
     """
-    cleaned = remove_superfluous_nots(expand_negative_controls(c))
-    names = [line_name(c, line) for line in range(c.width)]
-    lines = [f"# revhash inputs={c.num_inputs} outputs={c.num_outputs}"]
+    names = [f"x{line}" for line in range(c.num_inputs)] + [f"y{j}" for j in range(c.num_outputs)]
+    lines: list[str | None] = [f"# revhash inputs={c.num_inputs} outputs={c.num_outputs}"]
     if c.name:
         lines.append(f"# {c.name}")
     lines.append(".version 2.0")
     lines.append(f".numvars {c.width}")
     lines.append(".variables " + " ".join(names))
     lines.append(".begin")
-    for g in cleaned.gates:
-        involved = mask_lines(g.positive_mask) + [g.target]
+    open_nots: dict[int, int] = {}  # line -> index in lines of its open NOT
+
+    def flip(line):
+        if line in open_nots:
+            lines[open_nots.pop(line)] = None
+        else:
+            open_nots[line] = len(lines)
+            lines.append(f"t1 {names[line]}")
+
+    for g in c.gates:
+        if not g.control_count:
+            flip(g.target)
+            continue
+        negatives = mask_lines(g.negative_mask)
+        for line in negatives:
+            flip(line)
+        involved = mask_lines(g.positive_mask | g.negative_mask) + [g.target]
+        for line in involved:
+            open_nots.pop(line, None)
         lines.append(f"t{len(involved)} " + " ".join(names[i] for i in involved))
+        for line in negatives:
+            flip(line)
     lines.append(".end")
-    return "\n".join(lines) + "\n"
+    return "\n".join(line for line in lines if line is not None) + "\n"
 
 
 def read_real(text: str) -> Circuit:

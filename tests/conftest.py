@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from revhash import corpus
 from revhash.circuit import Circuit, Gate
 from revhash.errors import check_limit
-from revhash.esop import EsopCover
+from revhash.esop import EsopCover, from_pla, minimize
 from revhash.pla import Cube, PlaFunction, bits_to_int, int_to_bits
 from revhash.sim import EXHAUSTIVE_LIMIT, _apply_gate_int, run
+from revhash.synth import synthesize
 
 
 # Single-state helpers that the tests use as oracles for the wordwise kernels.
@@ -105,6 +106,20 @@ def random_function(rng: random.Random, n=None, m=None, max_cubes=6, allow_dash=
         for _ in range(rng.randint(0, max_cubes))
     )
     return PlaFunction(n=n, m=m, cubes=cubes)
+
+
+def benchmark_circuits() -> list[tuple[str, Circuit]]:
+    """The benchmark's perm10 and compress12 tables, built from the same seeds
+    and compiled as it compiles them: perm10 minimized, compress12 not."""
+    perm = list(range(1 << 10))
+    random.Random(1).shuffle(perm)
+    perm10 = PlaFunction(n=10, m=10, cubes=tuple(
+        Cube(format(x, "010b"), format(y, "010b")) for x, y in enumerate(perm)))
+    rng = random.Random(1)
+    compress12 = PlaFunction(n=12, m=4, cubes=tuple(
+        Cube(format(x, "012b"), format(rng.randrange(16), "04b")) for x in range(1 << 12)))
+    return [("perm10", synthesize(minimize(from_pla(perm10)), name="perm10")),
+            ("compress12", synthesize(from_pla(compress12), name="compress12"))]
 
 
 def random_truth_table(rng: random.Random, n: int, m: int) -> PlaFunction:

@@ -101,13 +101,52 @@ def test_simulate_huge_line_is_input_error(tmp_path, capsys):
                      ".variables x0 x1 y0\n.begin\nt2 x0 y0\n.end\n"),
     ("numvars_bare.real", "# revhash inputs=2 outputs=1\n.version 1.0\n.numvars\n"
                           ".variables x0 x1 y0\n.begin\nt2 x0 y0\n.end\n"),
+    ("width.json", json.dumps({"width": 7, "inputs": 2, "outputs": 1, "gates": []})),
+    ("name.json", json.dumps({"name": ["a"], "inputs": 2, "outputs": 1, "gates": []})),
 ], ids=["no-gates", "str-target", "top-level-list", "real-no-outputs", "real-empty-gate",
-        "real-duplicate-name", "real-numvars-mismatch", "real-numvars-bare"])
+        "real-duplicate-name", "real-numvars-mismatch", "real-numvars-bare", "json-width", "json-name"])
 def test_simulate_malformed_circuit_is_input_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
     assert main(["simulate", str(path), "--input", "01"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_json_without_width_or_name(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    bare = {"inputs": 2, "outputs": 1, "gates": [{"target": 2, "positive": [0, 1]}]}
+    for doc in (bare, {"width": 3, "name": None, **bare}):
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--input", "11"]) == 0
+        assert capsys.readouterr().out == "11 -> 1\n"
+
+
+# Every warning parse_pla gives, in its order.
+PLA_WARNED = ".i 2\n.o 1\n.type fr\n.phase 1\n11 -\n"
+PLA_WARNINGS = ["line 3: .type fr treated as fd", "line 4: unsupported directive .phase skipped",
+                "missing .e terminator", "1 output don't-care(s) normalized to 0"]
+
+
+def test_pla_warnings_go_to_stderr(tmp_path, capsys):
+    path = tmp_path / "warned.pla"
+    path.write_text(PLA_WARNED)
+    p = str(path)
+    for argv in (["synth", p], ["simulate", p, "--input", "11"], ["invert", p, "--target", "0"],
+                 ["invert", p, "--target", "0", "--first"], ["invert", p, "--target", "0", "--brute"],
+                 ["verify", p], ["analyze", p]):
+        assert main(argv + ["--format", "json"]) == 0, argv
+        out, err = capsys.readouterr()
+        json.loads(out)  # stdout holds the document alone
+        assert err.splitlines()[:4] == [f"warning: {w}" for w in PLA_WARNINGS], argv
+    assert main(["bench", str(tmp_path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert "error" not in json.loads(out)["records"][0]
+    assert err.splitlines()[:4] == [f"warning: warned.pla: {w}" for w in PLA_WARNINGS]
+
+
+def test_clean_pla_gives_no_warning(corpus_dir, capsys):
+    assert main(["synth", str(corpus_dir / "demo_hash4.pla")]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [

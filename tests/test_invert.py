@@ -13,11 +13,11 @@ from revhash.esop import EsopCover, from_pla, minimize
 from revhash.invert import preimage_one, preimages_bruteforce, preimages_deduce
 from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla, write_pla
 from revhash.sim import EXHAUSTIVE_LIMIT, run
-from revhash.synth import expand_negative_controls, synthesize
+from revhash.synth import synthesize
 
 from revhash import corpus, invert
 
-from conftest import CNOT, NOT, covers, oracle_leaf, random_truth_table
+from conftest import CNOT, NOT, benchmark_circuits, covers, oracle_leaf, random_truth_table
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -148,11 +148,16 @@ def forward_preimages(c, y, init):
     return tuple(sorted(x for x in inputs if run(c, x + init)[n:] == y))
 
 
+def xor_bits(a: str, b: str) -> str:
+    return "".join("01"[p != q] for p, q in zip(a, b, strict=True))
+
+
 def test_deduce_nonzero_initialization():
+    # Output lines that start at init end at init XOR what they end at from 0.
     circ = demo_circuit()
     init = "1010"
     y = run(circ, "0110" + init)[4:]
-    result = preimages_deduce(circ, y, output_init=init)
+    result = preimages_deduce(circ, xor_bits(y, init))
     assert "0110" in result.preimages
     assert result.preimages == forward_preimages(circ, y, init)
 
@@ -186,16 +191,16 @@ def test_deduce_matches_forward_runs(case):
     for leaf_vars in (0, 3, invert.LEAF_VARS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(invert, "LEAF_VARS", leaf_vars)
-            assert preimages_deduce(c, y, output_init=init).preimages == expected, leaf_vars
-            assert preimage_one(c, y, output_init=init) == (expected[0] if expected else None), leaf_vars
+            assert preimages_deduce(c, xor_bits(y, init)).preimages == expected, leaf_vars
+            assert preimage_one(c, xor_bits(y, init)) == (expected[0] if expected else None), leaf_vars
 
 
-def deduce_both_ways(c, y, init):
+def deduce_both_ways(c, y):
     """What a full search and a first-only search report, and all they found."""
-    full = preimages_deduce(c, y, output_init=init)
-    first = invert._Search(c, y, init, EXHAUSTIVE_LIMIT, first_only=True)
+    full = preimages_deduce(c, y)
+    first = invert._Search(c, y, EXHAUSTIVE_LIMIT, first_only=True)
     first.solve()
-    return (full.preimages, full.branches, full.propagations, preimage_one(c, y, output_init=init),
+    return (full.preimages, full.branches, full.propagations, preimage_one(c, y),
             first.solutions, first.branches, first.propagations)
 
 
@@ -214,12 +219,13 @@ def test_blocked_leaves_match_oracle(case):
     # At 0 and 3 a leaf is smaller than a block, at 4 at most one block;
     # at 5 and 8 it walks variables above its block.
     c, y, init = case
+    y = xor_bits(y, init)
     for leaf_vars in (0, 3, 4, 5, 8):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(invert, "LEAF_VARS", leaf_vars)
-            got = deduce_both_ways(c, y, init)
+            got = deduce_both_ways(c, y)
             mp.setattr(invert._Search, "_leaf", oracle_leaf)
-            assert got == deduce_both_ways(c, y, init), leaf_vars
+            assert got == deduce_both_ways(c, y), leaf_vars
 
 
 def test_deduce_repeated_gate_and_shared_cube():
@@ -239,18 +245,31 @@ def test_deduce_repeated_gate_and_shared_cube():
 
 
 def test_deduce_table_memo_follows_circuit():
-    # Alternating circuits and reusing one with another initialization must
-    # never answer from the other circuit's table or the last target's state.
+    # Alternating circuits and reusing one for another target must never
+    # answer from the other circuit's table or the last target's state.
     a, b = demo_circuit(), and_circuit()
     for _ in range(2):
         assert preimages_deduce(a, "1001").preimages == ("0110",)
         assert preimages_deduce(b, "1").preimages == ("11",)
         assert preimage_one(a, "1001") == "0110"
         assert preimage_one(b, "0") == "00"
-    init = "1010"
-    y = run(a, "0110" + init)[4:]
-    assert preimages_deduce(a, y, output_init=init).preimages == forward_preimages(a, y, init)
+    y = run(a, "0110" + "0000")[4:]
+    assert preimages_deduce(a, xor_bits(y, "1010")).preimages == forward_preimages(a, y, "1010")
     assert preimages_deduce(a, "1001").preimages == ("0110",)
+
+
+def test_alternating_circuits_build_each_table_once(monkeypatch):
+    built = []
+    build = invert._PredicateTable
+    monkeypatch.setattr(invert, "_PredicateTable", lambda c: built.append(c) or build(c))
+    a, b = demo_circuit(), and_circuit()
+    for _ in range(3):
+        assert preimages_deduce(a, "1001").preimages == ("0110",)
+        assert preimage_one(b, "1") == "11"
+    assert len(built) == 2 and built[0] is a and built[1] is b
+    # A rewrite is a new circuit, with a table of its own.
+    assert preimages_deduce(a.with_gates(a.gates), "1001").preimages == ("0110",)
+    assert len(built) == 3
 
 
 # -- the predicate table from a circuit's cover --------------------------------
@@ -292,18 +311,11 @@ def test_table_from_cover_equals_table_from_gates(cover):
             mp.setattr(invert, "LEAF_VARS", leaf_vars)
             for y in range(1 << cover.m):
                 y = int_to_bits(y, cover.m)
-                assert deduce_both_ways(c, y, None) == deduce_both_ways(bare, y, None), (leaf_vars, y)
+                assert deduce_both_ways(c, y) == deduce_both_ways(bare, y), (leaf_vars, y)
 
 
 def test_table_from_cover_on_benchmark_circuits():
-    perm = list(range(1 << 10))
-    random.Random(1).shuffle(perm)
-    perm10 = PlaFunction(n=10, m=10, cubes=tuple(
-        Cube(format(x, "010b"), format(y, "010b")) for x, y in enumerate(perm)))
-    rng = random.Random(1)
-    compress12 = PlaFunction(n=12, m=4, cubes=tuple(
-        Cube(format(x, "012b"), format(rng.randrange(16), "04b")) for x in range(1 << 12)))
-    for c in (synthesize(minimize(from_pla(perm10))), synthesize(from_pla(compress12))):
+    for _, c in benchmark_circuits():
         assert c.cover is not None
         assert table_fields(c) == table_fields(gates_only(c))
 
@@ -362,14 +374,11 @@ def test_deduce_rejects_bad_arity():
     for deduce in DEDUCERS:
         with pytest.raises(ValueError, match="target length"):
             deduce(demo_circuit(), "10101")
-        with pytest.raises(ValueError, match="initialization length"):
-            deduce(demo_circuit(), "1001", output_init="10")
 
 
 def test_deduce_rejects_input_line_targets():
-    expanded = expand_negative_controls(
-        Circuit(num_inputs=1, num_outputs=1, gates=(Gate(target=1, negative_controls={0}),))
-    )
+    # A negative control written as a NOT sandwich, as in a .real file.
+    expanded = Circuit(num_inputs=1, num_outputs=1, gates=(NOT(0), CNOT(0, 1), NOT(0)))
     circuits = (
         Circuit(num_inputs=2, num_outputs=1, gates=(NOT(0),)),
         Circuit(num_inputs=2, num_outputs=1, gates=(CNOT(1, 0),)),
@@ -473,7 +482,6 @@ def test_table_cache_holds_no_strong_reference():
     del c
     gc.collect()
     assert r() is None
-    assert invert._table.last == (None, None)
 
 
 @settings(max_examples=60, deadline=None)

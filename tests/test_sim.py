@@ -324,7 +324,7 @@ def test_one_exhaustive_limit():
 
 def test_line_patterns_match_state_bits():
     for n in range(11):
-        patterns = _line_patterns(n, n)
+        patterns = _line_patterns(n)
         assert patterns == [sum(1 << s for s in range(1 << n) if (s >> i) & 1) for i in range(n)]
 
 
@@ -488,7 +488,8 @@ def test_verify_identity_shares_fire_words_across_runs(c, variant, data):
             del gates[k]
         else:
             g = gates[k]
-            t = data.draw(st.sampled_from(sorted(set(range(c.width)) - g.lines) or [g.target]))
+            lines = g.positive_controls | g.negative_controls | {g.target}
+            t = data.draw(st.sampled_from(sorted(set(range(c.width)) - lines) or [g.target]))
             gates.insert(k + data.draw(st.integers(0, 1)),
                          Gate(t, g.positive_controls, g.negative_controls))
     rev = c.with_gates(gates)
@@ -503,16 +504,24 @@ def test_verify_identity_shares_fire_words_across_runs(c, variant, data):
         assert run(rev, run(c, s)) != s
 
 
-# -- one evaluation per cover --------------------------------------------------
+# -- one evaluation per cover ---------------------------------------------------
 
-def test_cover_cache_checks_the_limit_on_a_hit():
+@pytest.fixture
+def built(monkeypatch):
+    """The covers `sim._cover_words` evaluates from now on, in order."""
+    built, build = [], sim._cover_words
+    monkeypatch.setattr(sim, "_cover_words", lambda fn: built.append(fn) or build(fn))
+    return built
+
+
+def test_cover_cache_checks_the_limit_on_a_hit(built):
     f = random_truth_table(random.Random(5), 6, 2)
-    forward_words(f)
-    assert sim._cover_words.last[0]() is f
+    assert forward_words(f) == forward_words(f) and built == [f]
     with pytest.raises(ResourceLimitError):
         forward_words(f, limit=5)
     with pytest.raises(ResourceLimitError):
         preimages_bruteforce(f, "01", limit=5)
+    assert built == [f]
 
 
 def test_cover_cache_gives_each_call_its_own_list():
@@ -531,18 +540,25 @@ def test_cover_cache_holds_no_strong_reference():
     del f
     gc.collect()
     assert r() is None
-    assert sim._cover_words.last == (None, None)
 
 
-def test_one_evaluation_serves_every_exhaustive_reader(monkeypatch):
+def test_one_evaluation_serves_every_exhaustive_reader(built):
     f = random_truth_table(random.Random(8), 6, 3)
     c = synthesize(minimize(from_pla(f)))
-    built = []
-    build = sim._cover_words.build
-    monkeypatch.setattr(sim._cover_words, "build", lambda fn: built.append(fn) or build(fn))
     assert verify_against_spec(c, f).passed
     avalanche_check(f)
     collision_scan(f)
     for y in range(1 << f.m):
         preimages_bruteforce(f, int_to_bits(y, f.m))
     assert len(built) == 1 and built[0] is f
+
+
+def test_alternating_covers_evaluate_each_once(built):
+    f = random_truth_table(random.Random(9), 5, 2)
+    g = from_pla(f)
+    for _ in range(3):
+        assert preimages_bruteforce(f, "01").preimages == preimages_bruteforce(g, "01").preimages
+    assert len(built) == 2 and built[0] is f and built[1] is g
+    # A circuit's words are not kept: each call sweeps its gates again.
+    c = synthesize(g)
+    assert forward_words(c) == forward_words(g) and len(built) == 2

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 from collections import Counter
 
@@ -16,18 +17,9 @@ from revhash.circuit import (
 from revhash.esop import EsopCover, from_pla, minimize
 from revhash.pla import Cube, PlaFunction, int_to_bits, parse_pla
 from revhash.sim import run
-from revhash.synth import (
-    CircuitStats,
-    expand_negative_controls,
-    read_real,
-    remove_superfluous_nots,
-    reverse,
-    stats,
-    synthesize,
-    write_real,
-)
+from revhash.synth import CircuitStats, read_real, reverse, stats, synthesize, write_real
 
-from conftest import CNOT, NOT, circuits, covers
+from conftest import CNOT, NOT, benchmark_circuits, circuits, covers
 
 AND_PLA = ".i 2\n.o 1\n0- 0\n-0 0\n11 1\n.e"
 
@@ -84,20 +76,19 @@ def test_gate_from_lines_equals_gate_from_cube(case):
     assert g == made and hash(g) == hash(made) and repr(g) == repr(made)
     for gate in (g, made):
         assert gate.positive_controls == frozenset(pos) and gate.negative_controls == frozenset(neg)
-        assert gate.lines == frozenset(pos) | frozenset(neg) | {target}
         assert gate.control_count == len(pos) + len(neg)
 
 
 def test_gate_is_immutable():
     g = Gate(target=3, positive_controls={0, 1}, negative_controls={2})
-    views = (g.positive_controls, g.negative_controls, g.lines)
+    views = (g.positive_controls, g.negative_controls)
     for name in ("target", "positive_controls", "negative_controls", "positive_mask",
-                 "negative_mask", "control_count", "lines", "other"):
+                 "negative_mask", "control_count", "other"):
         with pytest.raises(AttributeError):
             setattr(g, name, 0)
         with pytest.raises(AttributeError):
             delattr(g, name)
-    assert (g.positive_controls, g.negative_controls, g.lines) == views
+    assert (g.positive_controls, g.negative_controls) == views
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert twin == g and repr(twin) == repr(g) and twin.control_count == 3
 
@@ -164,18 +155,28 @@ def test_synthesize_never_targets_inputs(small_corpus):
         assert all(g.target >= c.num_inputs for g in c.gates)
 
 
+def real_gates(c: Circuit) -> list[str]:
+    """The gate lines of write_real(c), after checking that reading the file
+    back gives a circuit that computes what c computes."""
+    text = write_real(c)
+    back = read_real(text)
+    for state in range(1 << c.width):
+        s = int_to_bits(state, c.width)
+        assert run(back, s) == run(c, s)
+    return [line for line in text.splitlines() if line.startswith("t")]
+
+
 def test_expand_negative_controls_sandwich():
-    c = Circuit(num_inputs=1, num_outputs=1,
-                gates=(Gate(target=1, negative_controls={0}),))
-    e = expand_negative_controls(c)
-    kinds = [(g.control_count, g.target) for g in e.gates]
-    assert kinds == [(0, 0), (1, 1), (0, 0)]
-    assert e.gates[1].positive_controls == {0}
+    c = Circuit(num_inputs=1, num_outputs=1, gates=(Gate(target=1, negative_controls={0}),))
+    assert real_gates(c) == ["t1 x0", "t2 x0 y0", "t1 x0"]
+    c = Circuit(num_inputs=3, num_outputs=1, gates=(Gate(3, positive_controls={1}, negative_controls={0, 2}),))
+    assert real_gates(c) == ["t1 x0", "t1 x2", "t4 x0 x1 x2 y0", "t1 x0", "t1 x2"]
 
 
 def test_expand_no_negatives_unchanged():
-    c = and_circuit()
-    assert expand_negative_controls(c).gates == c.gates
+    assert real_gates(and_circuit()) == ["t3 x0 x1 y0"]
+    c = Circuit(num_inputs=2, num_outputs=2, gates=(CNOT(1, 2), NOT(3), Gate(3, {0, 1})))
+    assert real_gates(c) == ["t2 x1 y0", "t1 y1", "t3 x0 x1 y1"]
 
 
 def test_expand_then_cleanup_cancels_interior_pair():
@@ -183,38 +184,30 @@ def test_expand_then_cleanup_cancels_interior_pair():
         Gate(target=1, negative_controls={0}),
         Gate(target=2, negative_controls={0}),
     ))
-    cleaned = remove_superfluous_nots(expand_negative_controls(c))
-    nots = [g for g in cleaned.gates if g.control_count == 0]
-    assert len(nots) == 2  # was 4 before cleanup
-    for state in range(8):
-        s = format(state, "03b")[::-1]
-        assert run(cleaned, s) == run(c, s)
+    assert real_gates(c) == ["t1 x0", "t2 x0 y0", "t2 x0 y1", "t1 x0"]  # 4 NOTs before cleanup
 
 
 def test_remove_nots_involution():
-    c = Circuit(num_inputs=1, num_outputs=1, gates=(NOT(0), NOT(0)))
-    assert remove_superfluous_nots(c).gates == ()
+    assert real_gates(Circuit(num_inputs=1, num_outputs=1, gates=(NOT(0), NOT(0)))) == []
+    assert real_gates(Circuit(num_inputs=1, num_outputs=1, gates=(NOT(1), NOT(1), NOT(1)))) == ["t1 y0"]
 
 
 def test_remove_nots_blocked_by_touching_gate():
+    # A gate blocks the cancel by a control on the line or by targeting it.
     c = Circuit(num_inputs=1, num_outputs=2, gates=(
         NOT(0), CNOT(0, 1), NOT(0), NOT(0), CNOT(0, 2), NOT(0),
     ))
-    cleaned = remove_superfluous_nots(c)
-    kinds = [(g.control_count, g.target) for g in cleaned.gates]
-    assert kinds == [(0, 0), (1, 1), (1, 2), (0, 0)]
-    for state in range(8):
-        s = format(state, "03b")[::-1]
-        assert run(cleaned, s) == run(c, s)
+    assert real_gates(c) == ["t1 x0", "t2 x0 y0", "t2 x0 y1", "t1 x0"]
+    c = Circuit(num_inputs=1, num_outputs=1, gates=(NOT(1), CNOT(0, 1), NOT(1)))
+    assert real_gates(c) == ["t1 y0", "t2 x0 y0", "t1 y0"]
 
 
 def test_remove_nots_cancels_across_untouching_gate():
     c = Circuit(num_inputs=2, num_outputs=1, gates=(NOT(0), CNOT(1, 2), NOT(0)))
-    cleaned = remove_superfluous_nots(c)
-    assert [(g.control_count, g.target) for g in cleaned.gates] == [(1, 2)]
-    for state in range(8):
-        s = format(state, "03b")[::-1]
-        assert run(cleaned, s) == run(c, s)
+    assert real_gates(c) == ["t2 x1 y0"]
+    # The closing NOTs of one sandwich cancel the opening NOTs of the next.
+    c = Circuit(num_inputs=3, num_outputs=2, gates=(Gate(3, {1}, {0}), CNOT(2, 4), Gate(4, {1}, {0})))
+    assert real_gates(c) == ["t1 x0", "t3 x0 x1 y0", "t2 x2 y1", "t3 x0 x1 y1", "t1 x0"]
 
 
 def test_reverse_order_and_involution():
@@ -251,11 +244,40 @@ def test_stats_counts_expanded_nots():
 @given(circuits(max_width=5))
 def test_stats_counts_the_expanded_cleaned_circuit(c):
     # Few lines and plain NOTs make NOT pairs open, cancel and get blocked.
-    expanded = remove_superfluous_nots(expand_negative_controls(c))
-    counts = Counter(g.control_count for g in expanded.gates)
-    assert stats(c) == CircuitStats(total=len(expanded.gates),
-                                    by_controls=dict(sorted(counts.items())),
+    # A t<k> line is a gate with k - 1 controls.
+    kinds = [line.split()[0] for line in write_real(c).splitlines() if line.startswith("t")]
+    counts = Counter(int(kind[1:]) - 1 for kind in kinds)
+    assert stats(c) == CircuitStats(total=len(kinds), by_controls=dict(sorted(counts.items())),
                                     raw_gates=len(c.gates))
+
+
+# sha256 prefixes of write_real's text for each corpus function compiled as
+# `revhash synth` compiles it, and for the benchmark's perm10 and compress12
+# circuits: (forward, reversed).
+REAL_DIGESTS = {
+    "aes4_sbox": ("13e2f2bd55aff261", "4371d502139e98ad"),
+    "present_sbox": ("5996c775240e8917", "2fa77dfbdc18ea17"),
+    "des_sbox1": ("ba7d2dc84fb36759", "bc02b13d9729a40a"),
+    "des_sbox2": ("7e5cfb03faa2ef7e", "bab010a7416a1244"),
+    "des_sbox3": ("e30f6fcf6ce77a77", "d6ac52b0fbe61118"),
+    "des_sbox4": ("f9ae76f2d3dd6ca2", "b77dbcf374d41d32"),
+    "des_sbox5": ("2769462e0a63db23", "753c483959e39fd6"),
+    "des_sbox6": ("7e1f123d2b5fd7f2", "5636c3cc132c8535"),
+    "des_sbox7": ("dbc04ceaf2b92254", "a7993133cc7bb636"),
+    "des_sbox8": ("8501f98ede89bf05", "707b564199ef8421"),
+    "aes_sbox": ("dab9a263621a4195", "6bcfd4d19ccdcf33"),
+    "aes_inv_sbox": ("03e2da2f9511ae61", "9a8522939466ff06"),
+    "hash8_avalanche": ("ddcb4f76b600530d", "770f0f5747008e02"),
+    "perm10": ("bd2454938fde2b07", "1c406f722477a3dc"),
+    "compress12": ("99faa19cfa1d26f5", "e4d59236a1861c86"),
+}
+
+
+def test_real_files_are_pinned():
+    compiled = [(name, synthesize(minimize(from_pla(f)), name=name)) for name, f in corpus.corpus_functions()]
+    digests = {name: tuple(hashlib.sha256(write_real(d).encode()).hexdigest()[:16] for d in (c, reverse(c)))
+               for name, c in compiled + benchmark_circuits()}
+    assert digests == REAL_DIGESTS
 
 
 def test_real_roundtrip_preserves_gates():
@@ -331,9 +353,9 @@ def test_synthesize_keeps_its_cover_and_rewrites_drop_it():
     assert write_real(bare) == write_real(c) and write_circuit_json(bare) == write_circuit_json(c)
     with pytest.raises(TypeError):
         Circuit(c.num_inputs, c.num_outputs, c.gates, cover=cover)
-    rewritten = (reverse(c), expand_negative_controls(c), remove_superfluous_nots(c), c.with_gates(c.gates),
+    rewritten = (reverse(c), c.with_gates(c.gates),
                  read_real(write_real(c)), read_circuit_json(write_circuit_json(c)))
-    assert [r.cover for r in rewritten] == [None] * 6
+    assert [r.cover for r in rewritten] == [None] * 4
 
 
 def test_circuit_width_validation():
